@@ -16,11 +16,17 @@
 //
 // Two identical streaming runs over that schedule:
 //
-//   bounded    ServerConfig::lifecycle on — cluster / merge / decay / evict
+//   bounded    the lifecycle as deployed — cluster / merge / decay / evict
 //              against lifecycle_config.max_domains;
-//   unbounded  the pre-lifecycle policy (one new domain per round, no cap):
-//              K grows with stream length, and with it the O(K) per-query
+//   unbounded  the pre-lifecycle policy (one new domain per round, no cap),
+//              expressed as a lifecycle config: one cluster per round, a
+//              merge threshold cosine never reaches, no cap
+//              (tests/test_domain_lifecycle.cpp pins the equivalence). K
+//              grows with stream length, and with it the O(K) per-query
 //              ensemble cost and the model footprint.
+//
+// Both runs serve through a one-tenant MultiTenantServer whose registry
+// opener returns the prebuilt boot snapshot.
 //
 // Per measurement window the bench records client-observed p50/p99 (from
 // LatencyHistogram::snapshot_and_reset), process RSS, live K, and the
@@ -43,6 +49,8 @@
 #include <cstdio>
 #include <deque>
 #include <future>
+#include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,7 +63,8 @@
 #include "core/smore.hpp"
 #include "hdc/hv_dataset.hpp"
 #include "hdc/hv_matrix.hpp"
-#include "serve/server.hpp"
+#include "serve/registry.hpp"
+#include "serve/router.hpp"
 #include "serve/snapshot.hpp"
 #include "util/cli.hpp"
 #include "util/latency.hpp"
@@ -153,7 +162,7 @@ struct RunOutcome {
   std::vector<WindowRecord> windows;
   double recurring_accuracy = 0.0;  ///< mean over all recurring windows
   std::size_t max_domains_seen = 0;
-  ServerStats final_stats;
+  MultiTenantStats final_stats;
 };
 
 struct StreamParams {
@@ -168,16 +177,14 @@ RunOutcome run_stream(const SmoreModel& model, const DriftWorlds& worlds,
                       const StreamParams& p, bool lifecycle,
                       std::size_t max_domains, std::size_t adapt_min_batch,
                       std::uint64_t seed) {
-  ServerConfig cfg;
+  MultiTenantConfig cfg;
   cfg.max_batch = 8;
   cfg.max_delay_us = 100;
-  cfg.num_workers = 1;
   cfg.adaptation = true;
   cfg.adapt_min_batch = adapt_min_batch;
   cfg.adapt_buffer_capacity = 4 * adapt_min_batch;
   cfg.adapt_poll_ms = 1;
   if (lifecycle) {
-    cfg.lifecycle = true;
     cfg.lifecycle_config.max_domains = max_domains;
     // Below the calibrated δ*: OOD-gated candidates always have best
     // similarity < δ*, so a threshold above it would disable merging.
@@ -186,10 +193,16 @@ RunOutcome run_stream(const SmoreModel& model, const DriftWorlds& worlds,
     cfg.lifecycle_config.protected_domains = model.num_domains();
     cfg.lifecycle_config.cluster.max_clusters = 4;
   } else {
-    cfg.adapt_max_domains = 1'000'000;  // the unbounded baseline
+    // The unbounded baseline: every round enrolls ONE new domain.
+    cfg.lifecycle_config.max_domains = std::numeric_limits<std::size_t>::max();
+    cfg.lifecycle_config.merge_threshold = 2.0;
+    cfg.lifecycle_config.cluster.max_clusters = 1;
   }
-  InferenceServer server(ModelSnapshot::make(model.clone(), false, 1),
-                         nullptr, cfg);
+  const auto boot = ModelSnapshot::make(model.clone(), false, 1);
+  const auto registry = std::make_shared<ModelRegistry>(
+      [boot](const std::string&) { return boot; });
+  MultiTenantServer server(registry, cfg);
+  const auto live = registry->acquire("model");
 
   Rng rng(seed);
   RunOutcome out;
@@ -220,7 +233,8 @@ RunOutcome run_stream(const SmoreModel& model, const DriftWorlds& worlds,
           t0 + (t1 - t0) * (static_cast<double>(q) /
                             static_cast<double>(p.window_queries));
       worlds.make_row(row, label, from, to, t, rng);
-      inflight.emplace_back(label, server.submit(std::vector<float>(row)));
+      inflight.emplace_back(label,
+                            server.submit("model", std::vector<float>(row)));
       settle(p.inflight);
     }
     settle(0);
@@ -229,8 +243,7 @@ RunOutcome run_stream(const SmoreModel& model, const DriftWorlds& worlds,
     w.phase = phase;
     w.latency = LatencySummary::from(hist.snapshot_and_reset());
     w.rss = rss_bytes();
-    const ServerStats stats = server.stats();
-    w.live_domains = stats.live_domains;
+    w.live_domains = live->snapshot()->model->num_domains();
     w.accuracy = answered != 0
                      ? static_cast<double>(correct) /
                            static_cast<double>(answered)
@@ -305,7 +318,7 @@ void print_run(const char* name, const RunOutcome& run) {
                 1e3 * w.latency.p99_seconds, w.live_domains,
                 static_cast<double>(w.rss) / (1024.0 * 1024.0), w.accuracy);
   }
-  const ServerStats& s = run.final_stats;
+  const MultiTenantStats& s = run.final_stats;
   std::printf("  rounds=%llu absorbed=%llu merged=%llu evicted=%llu "
               "dropped=%llu (overflow=%llu) ood=%llu\n",
               static_cast<unsigned long long>(s.adaptation_rounds),

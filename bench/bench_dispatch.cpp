@@ -4,9 +4,10 @@
 // BENCH_dispatch.json.
 //
 // The acceptance comparison is fat-binary-auto vs a -march=native build of
-// the SAME source (both builds dispatch to the same per-TU kernel variants;
-// native additionally compiles the non-kernel code natively). Run the
-// native build first, then pass its numbers to the fat build:
+// the SAME source (configure with -DCMAKE_CXX_FLAGS=-march=native: both
+// builds dispatch to the same per-TU kernel variants; native additionally
+// compiles the non-kernel code natively). Run the native build first, then
+// pass its numbers to the fat build:
 //
 //   (native build) bench_dispatch --out BENCH_dispatch_native.json
 //   (fat build)    bench_dispatch --ref-similarity-qps <native qps>
@@ -101,12 +102,6 @@ int main(int argc, char** argv) {
       std::atof(cli.get_string("ref-similarity-qps").c_str());
   const double ref_hamming_qps =
       std::atof(cli.get_string("ref-hamming-qps").c_str());
-
-#if defined(SMORE_NATIVE_ARCH_BUILD)
-  const char* build_flavor = "native";
-#else
-  const char* build_flavor = "fat";
-#endif
 
   // ------------------------------------------------------------- test data
   Rng rng(static_cast<std::uint64_t>(cli.get_int("seed")));
@@ -208,8 +203,8 @@ int main(int argc, char** argv) {
   };
 
   std::printf("[bench] dispatch kernels: %zu queries x %zu protos x d=%zu "
-              "(%d repeats, %s build)\n",
-              nq, nc, dim, repeats, build_flavor);
+              "(%d repeats)\n",
+              nq, nc, dim, repeats);
   std::printf("%-10s %14s %12s %10s %12s %12s %12s\n", "tier", "dot Melem/s",
               "sim q/s", "ngram/s", "proj win/s", "pack row/s", "ham q/s");
 
@@ -260,14 +255,13 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f,
                "{\n"
-               "  \"build\": \"%s\",\n"
                "  \"auto_tier\": \"%s\",\n"
                "  \"queries\": %zu,\n"
                "  \"classes\": %zu,\n"
                "  \"dim\": %zu,\n"
                "  \"hardware_threads\": %u,\n"
                "  \"tiers\": [\n",
-               build_flavor, auto_tier.c_str(), nq, nc, dim,
+               auto_tier.c_str(), nq, nc, dim,
                std::thread::hardware_concurrency());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const TierRow& r = rows[i];

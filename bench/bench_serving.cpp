@@ -1,9 +1,11 @@
 // Serving-runtime throughput/latency: what micro-batching buys over
 // per-request dispatch (DESIGN.md §9).
 //
-// Spawns an InferenceServer, drives it from `--producers` threads that each
-// keep `--window` requests in flight (open-loop pipelined submission — the
-// shape of real concurrent clients), and sweeps the two scheduler knobs:
+// Spawns a one-tenant MultiTenantServer (the single-model deployment: the
+// registry opener returns the prebuilt snapshot), drives it from
+// `--producers` threads that each keep `--window` requests in flight
+// (open-loop pipelined submission — the shape of real concurrent clients),
+// and sweeps the two scheduler knobs:
 //
 //   batch=1/delay=0      — the per-request baseline: every request pays its
 //                          own queue hop, worker wakeup, kernel setup, and
@@ -44,7 +46,8 @@
 #include "hdc/hv_matrix.hpp"
 #include "obs/export.hpp"
 #include "obs/telemetry.hpp"
-#include "serve/server.hpp"
+#include "serve/registry.hpp"
+#include "serve/router.hpp"
 #include "serve/snapshot.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
@@ -99,13 +102,17 @@ RunResult run_config(const char* label, std::size_t max_batch,
                      const HvMatrix& queries, std::size_t total,
                      std::size_t producers, std::size_t window,
                      const std::shared_ptr<obs::Telemetry>& hub = nullptr) {
-  ServerConfig cfg;
+  MultiTenantConfig cfg;
   cfg.max_batch = max_batch;
   cfg.max_delay_us = max_delay_us;
-  cfg.num_workers = workers;
-  cfg.queue_capacity = std::max<std::size_t>(1024, producers * window * 2);
+  cfg.workers_per_shard = workers;
+  cfg.shard_queue_capacity =
+      std::max<std::size_t>(1024, producers * window * 2);
   cfg.telemetry = hub;  // shared across configs when --metrics-json is on
-  InferenceServer server(snap, nullptr, cfg);
+  MultiTenantServer server(
+      std::make_shared<ModelRegistry>(
+          [snap](const std::string&) { return snap; }),
+      cfg);
 
   WallTimer timer;
   std::vector<std::thread> threads;
@@ -116,7 +123,7 @@ RunResult run_config(const char* label, std::size_t max_batch,
       std::deque<std::future<ServeResult>> inflight;
       for (std::size_t i = 0; i < n; ++i) {
         const auto row = queries.row((p * n + i) % queries.rows());
-        inflight.push_back(server.submit({row.begin(), row.end()}));
+        inflight.push_back(server.submit("model", {row.begin(), row.end()}));
         if (inflight.size() >= window) {
           inflight.front().get();
           inflight.pop_front();
@@ -131,7 +138,7 @@ RunResult run_config(const char* label, std::size_t max_batch,
   for (auto& t : threads) t.join();
   const double seconds = timer.seconds();
   server.shutdown();
-  const ServerStats stats = server.stats();
+  const MultiTenantStats stats = server.stats();
 
   RunResult r;
   r.label = label;

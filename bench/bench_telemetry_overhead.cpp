@@ -6,7 +6,7 @@
 //
 //   counters-only — telemetry compiled in but detail switched off
 //                   (TelemetryConfig{histograms,traces,events = false}).
-//                   Counters stay on: they back ServerStats and cannot be
+//                   Counters stay on: they back the stats() views and cannot be
 //                   disabled, so this arm is the shipping baseline;
 //   full          — histograms + trace spans (default sampling, always-on
 //                   slow tail) + the event log, i.e. everything fleet_top

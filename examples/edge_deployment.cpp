@@ -22,7 +22,8 @@
 #include "eval/reporting.hpp"
 #include "eval/timer.hpp"
 #include "common.hpp"
-#include "serve/server.hpp"
+#include "serve/registry.hpp"
+#include "serve/router.hpp"
 #include "util/cli.hpp"
 
 int main(int argc, char** argv) {
@@ -129,22 +130,26 @@ int main(int argc, char** argv) {
 
   // --- serving-runtime tail latency on this host ---
   // A gateway doesn't run one batch: it serves a request stream. Drive the
-  // same probe through the micro-batching server for both representations —
-  // the backend is chosen by the snapshot (packed iff quantized), never by
-  // the server — and report the submit→fulfill percentiles a deployment
-  // would put in its SLO (util/latency.hpp histogram, not min/mean).
+  // same probe through a one-tenant micro-batching server for both
+  // representations — the backend is chosen by the snapshot (packed iff
+  // quantized), never by the server — and report the submit→fulfill
+  // percentiles a deployment would put in its SLO (util/latency.hpp
+  // histogram, not min/mean).
   print_banner("Serving runtime on this host (micro-batched, percentiles)");
   for (const bool use_packed : {false, true}) {
-    ServerConfig scfg;
+    MultiTenantConfig scfg;
     scfg.max_batch = 32;
     scfg.max_delay_us = 200;
-    InferenceServer server(use_packed ? packed_snap : float_snap,
-                           pipeline.encoder_ptr(), scfg);
+    MultiTenantServer server(
+        std::make_shared<ModelRegistry>(
+            [snap = use_packed ? packed_snap : float_snap](
+                const std::string&) { return snap; }),
+        scfg);
     WallTimer serve_timer;
     std::deque<std::future<ServeResult>> inflight;
     for (std::size_t i = 0; i < probe; ++i) {
       const auto row = probe_hv.row(i);
-      inflight.push_back(server.submit({row.begin(), row.end()}));
+      inflight.push_back(server.submit("gateway", {row.begin(), row.end()}));
       if (inflight.size() >= 32) {
         inflight.front().get();
         inflight.pop_front();
@@ -156,7 +161,7 @@ int main(int argc, char** argv) {
     }
     const double serve_s = serve_timer.seconds();
     server.shutdown();
-    const ServerStats stats = server.stats();
+    const MultiTenantStats stats = server.stats();
     std::printf("%-6s backend: %6.0f req/s   p50 %7.3f ms  p95 %7.3f ms  "
                 "p99 %7.3f ms   (%llu batches, mean fill %.1f)\n",
                 use_packed ? "packed" : "float",

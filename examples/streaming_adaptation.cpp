@@ -2,7 +2,7 @@
 // deployable Pipeline served through the serving runtime (src/serve/,
 // DESIGN.md §9–§10).
 //
-// A Pipeline trained on K source subjects boots the server (one call: the
+// A Pipeline trained on K source subjects boots a one-tenant server (its
 // snapshot takes the pipeline's model, calibration, and encoder), then
 // serves a live stream of windows submitted by concurrent clients.
 // Mid-stream, the subject wearing the sensors changes to someone the model
@@ -25,13 +25,16 @@
 #include <chrono>
 #include <cstdio>
 #include <future>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/pipeline.hpp"
 #include "data/windowing.hpp"
 #include "common.hpp"
-#include "serve/server.hpp"
+#include "serve/registry.hpp"
+#include "serve/router.hpp"
 
 int main() {
   using namespace smore;
@@ -55,11 +58,11 @@ int main() {
               "calibrated delta* = %.3f (5%% FP budget)\n",
               pipeline.num_domains(), all.num_classes(), delta);
 
-  // Boot the serving runtime straight from the pipeline (snapshot v1, the
-  // pipeline's encoder shared into the server) with online adaptation
+  // Boot the serving runtime from the pipeline (snapshot v1, the pipeline's
+  // encoder shared into it) as a one-tenant fleet, with online adaptation
   // enabled: once 64 OOD windows accumulate, the adaptation worker enrolls
   // them as a new domain and publishes the next generation.
-  ServerConfig cfg;
+  MultiTenantConfig cfg;
   cfg.max_batch = 32;
   cfg.max_delay_us = 200;
   cfg.adaptation = true;
@@ -68,10 +71,14 @@ int main() {
   // Bounded lifecycle (DESIGN.md §13): enrollment may never grow the bank
   // past the cap, the source domains are eviction-protected, and recurring
   // drift merges into its old domain instead of enrolling a duplicate.
-  cfg.lifecycle = true;
   cfg.lifecycle_config.max_domains = pipeline.num_domains() + 2;
   cfg.lifecycle_config.protected_domains = pipeline.num_domains();
-  InferenceServer server(pipeline, cfg);
+  const auto boot = ModelSnapshot::make(pipeline, /*version=*/1);
+  const auto registry = std::make_shared<ModelRegistry>(
+      [boot](const std::string&) { return boot; });
+  MultiTenantServer server(registry, cfg);
+  const std::string gateway = "gateway";
+  const auto model = registry->acquire(gateway);  // its live generations
 
   // Phase 1: stream windows from a known subject (domain 1).
   const auto known = examples::lodo_windows(all, 1).test;
@@ -97,7 +104,7 @@ int main() {
     std::vector<std::future<ServeResult>> futures;
     futures.reserve(end - first);
     for (std::size_t i = first; i < end; ++i) {
-      futures.push_back(server.submit(phase[i]));
+      futures.push_back(server.submit(gateway, phase[i]));
     }
     std::size_t correct = 0;
     std::size_t flagged = 0;
@@ -114,7 +121,7 @@ int main() {
                 label, 100.0 * static_cast<double>(correct) / total,
                 100.0 * static_cast<double>(flagged) / total,
                 static_cast<unsigned long long>(version),
-                server.snapshot()->model->num_domains());
+                model->snapshot()->model->num_domains());
   };
 
   const std::size_t probe = 120;
@@ -132,15 +139,15 @@ int main() {
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  const ServerStats mid = server.stats();
+  const MultiTenantStats mid = server.stats();
   std::printf("\nadaptation worker: %llu round(s), %llu OOD windows enrolled "
               "as domain(s) beyond the source %zu -> serving snapshot v%llu "
               "(%zu domains)\n",
               static_cast<unsigned long long>(mid.adaptation_rounds),
               static_cast<unsigned long long>(mid.adaptation_absorbed),
               pipeline.num_domains(),
-              static_cast<unsigned long long>(mid.snapshot_version),
-              server.snapshot()->model->num_domains());
+              static_cast<unsigned long long>(model->snapshot()->version),
+              model->snapshot()->model->num_domains());
 
   // Stream MORE windows from the same outsider: the published generation
   // now recognizes the enrolled domain, so the OOD rate collapses (and the
@@ -166,19 +173,19 @@ int main() {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   const std::size_t bank_before_return =
-      server.snapshot()->model->num_domains();
+      model->snapshot()->model->num_domains();
   // Recurring drift re-streams the outsider's windows — the same subject
   // coming back IS the same data distribution returning.
   run_phase("first outsider RETURNS:", outsider, 0, probe);
   const std::size_t bank_after_return =
-      server.snapshot()->model->num_domains();
+      model->snapshot()->model->num_domains();
   std::printf("\nrecurring drift: bank %zu -> %zu domain(s) across the "
               "return (%s duplicate enrollment), cap %zu\n",
               bank_before_return, bank_after_return,
               bank_after_return == bank_before_return ? "no" : "UNEXPECTED",
               cfg.lifecycle_config.max_domains);
 
-  const ServerStats stats = server.stats();
+  const MultiTenantStats stats = server.stats();
   std::printf("\nserver: %llu requests in %llu batches (mean fill %.1f), "
               "p50 %.2f ms, p99 %.2f ms, %llu rejected\n",
               static_cast<unsigned long long>(stats.completed),

@@ -42,7 +42,7 @@ struct Event {
   EventType type = EventType::kSnapshotPublish;
   std::uint32_t pad_ = 0;
   std::int64_t value = 0;  ///< type-specific payload (bytes, version, id)
-  char scope[24] = {};     ///< tenant / plane the event concerns
+  char scope[24] = {};     ///< tenant the event concerns
   char reason[48] = {};
 };
 

@@ -73,7 +73,7 @@ class Gauge {
 };
 
 /// Concurrent log-bucket histogram: LatencyHistogram's bucket layout behind
-/// striped atomics. One stripe suffices for per-tenant series; plane-level
+/// striped atomics. One stripe suffices for per-tenant series; fleet-level
 /// histograms stripe by the worker count to keep hot buckets from
 /// ping-ponging between cores. count is derived from the buckets at snapshot
 /// time, so a snapshot's count always equals its bucket sum even mid-record.

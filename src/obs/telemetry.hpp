@@ -2,9 +2,9 @@
 // Telemetry: the process hub bundling one MetricsRegistry, one Tracer, and
 // one EventLog behind a shared_ptr (DESIGN.md §14).
 //
-// Every serving-layer config (ServerConfig, MultiTenantConfig,
-// RegistryConfig) carries a `std::shared_ptr<obs::Telemetry>`; passing the
-// SAME hub to the router and its registry gives one unified export surface
+// Every serving-layer config (MultiTenantConfig, RegistryConfig) carries a
+// `std::shared_ptr<obs::Telemetry>`; passing the SAME hub to the router and
+// its registry gives one unified export surface
 // (fleet_top, Prometheus). A null pointer means "private hub": the component
 // builds its own, so stats views always work and unit tests never collide on
 // metric names.

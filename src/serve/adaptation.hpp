@@ -1,11 +1,11 @@
 #pragma once
-// The adaptation round shared by both serving planes (DESIGN.md §13).
+// One adaptation round as a pure function (DESIGN.md §13).
 //
-// The single-tenant InferenceServer and the multi-tenant router both run the
-// same loop: drain an OOD side buffer, clone the live generation, run one
-// DomainLifecycle round on the clone, publish the result as the next
-// generation. This header is that one round as a pure function — the two
-// servers keep only their own buffering, locking, and publish plumbing.
+// The router's adaptation worker drains a tenant's OOD side buffer, clones
+// the tenant's live generation, runs one DomainLifecycle round on the clone,
+// and publishes the result as the next generation. This header is that one
+// round; the router keeps only the buffering, locking, and publish plumbing.
+// Benches and tests call it directly to replay a round off the serving path.
 
 #include <cstdint>
 #include <memory>
@@ -53,7 +53,7 @@ struct AdaptationOutcome {
 /// PUBLISHED round (DESIGN.md §14) — call this only after the publish CAS
 /// succeeded, so the event log never claims changes that a lost race threw
 /// away (a shed round emits kAdaptationShed at its own decision site
-/// instead). `scope` is the tenant (fleet plane) or the plane name.
+/// instead). `scope` is the tenant.
 void emit_lifecycle_events(obs::Telemetry& telemetry, std::string_view scope,
                            const LifecycleRoundStats& stats);
 

@@ -36,11 +36,11 @@ std::size_t snapshot_resident_bytes(const ModelSnapshot& snap) {
   if (snap.packed != nullptr) bytes += snap.packed->footprint_bytes();
   // Encoder state (item-memory basis, level bank, projection matrix) is
   // charged at its CURRENT materialized size. A freshly loaded artifact
-  // carries config+seed only, and the multi-tenant data plane submits
-  // pre-encoded hypervectors, so the basis normally never materializes and
-  // near-zero is the true cost. A tenant that encodes raw windows grows its
-  // basis AFTER this charge — that growth is outside the registry budget
-  // (see RegistryConfig::byte_budget), not silently undercounted at load.
+  // carries config+seed only, and a tenant that submits pre-encoded
+  // hypervectors never materializes the basis, so near-zero is its true
+  // cost. A tenant that encodes raw windows grows its basis AFTER this
+  // charge — that growth is outside the registry budget (see
+  // RegistryConfig::byte_budget), not silently undercounted at load.
   if (snap.encoder != nullptr) {
     bytes += snap.encoder->footprint_bytes();
   }

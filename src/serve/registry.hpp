@@ -22,7 +22,7 @@
 //
 // Each resident tenant is a TenantModel: a per-tenant SnapshotRegistry, so
 // operators can publish a retrained generation for ONE tenant (RCU swap,
-// same semantics as the single-tenant server) without touching the others.
+// stale-publisher-loses; see SnapshotRegistry) without touching the others.
 // The budget accounts the boot footprint; published generations are assumed
 // footprint-equivalent (same artifact, retrained weights). Note the
 // eviction/publish race: a publish targets the CURRENTLY resident

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <functional>
+#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -55,7 +56,7 @@ MultiTenantServer::MultiTenantServer(std::shared_ptr<ModelRegistry> registry,
   for (auto& s : slot_shards_) s = std::make_unique<SlotShard>();
 
   const std::size_t total = config_.num_shards * config_.workers_per_shard;
-  tel_ = std::make_unique<ServeTelemetry>(config_.telemetry, "fleet", total);
+  tel_ = std::make_unique<ServeTelemetry>(config_.telemetry, total);
   tenants_seen_ = tel_->hub().metrics().counter("smore_tenants_seen_total",
                                                 {{"plane", "fleet"}});
   workers_.reserve(total);
@@ -103,8 +104,8 @@ MultiTenantServer::Shard& MultiTenantServer::shard_of(
 }
 
 std::optional<std::future<ServeResult>> MultiTenantServer::do_submit(
-    const std::string& tenant, std::vector<float> hv, bool blocking,
-    ServeStatus* shed_reason) {
+    const std::string& tenant, std::vector<float> hv,
+    std::unique_ptr<Window> window, bool blocking, ServeStatus* shed_reason) {
   std::shared_ptr<TenantSlot> slot = slot_of(tenant);
   if (shut_down_.load(std::memory_order_acquire)) {
     tel_->record_shed(ServeStatus::kShuttingDown, tenant, &slot->tel);
@@ -141,7 +142,14 @@ std::optional<std::future<ServeResult>> MultiTenantServer::do_submit(
     tel_->record_load_failure(&slot->tel);
     return ready_error(std::current_exception());
   }
-  if (hv.size() != model->dim()) {
+  if (window != nullptr) {
+    if (model->snapshot()->encoder == nullptr) {
+      slot->inflight.fetch_sub(1, std::memory_order_relaxed);
+      throw std::logic_error(
+          "MultiTenantServer::submit(Window): no encoder for tenant " +
+          tenant);
+    }
+  } else if (hv.size() != model->dim()) {
     slot->inflight.fetch_sub(1, std::memory_order_relaxed);
     throw std::invalid_argument(
         "MultiTenantServer::submit: dimension mismatch for tenant " + tenant);
@@ -151,6 +159,7 @@ std::optional<std::future<ServeResult>> MultiTenantServer::do_submit(
   req.slot = slot;
   req.model = std::move(model);
   req.hv = std::move(hv);
+  req.window = std::move(window);
   req.submit_time = std::chrono::steady_clock::now();
   std::future<ServeResult> fut = req.promise.get_future();
   Shard& shard = shard_of(tenant);
@@ -185,13 +194,21 @@ std::optional<std::future<ServeResult>> MultiTenantServer::do_submit(
 
 std::future<ServeResult> MultiTenantServer::submit(const std::string& tenant,
                                                    std::vector<float> hv) {
-  return *do_submit(tenant, std::move(hv), /*blocking=*/true, nullptr);
+  return *do_submit(tenant, std::move(hv), nullptr, /*blocking=*/true,
+                    nullptr);
+}
+
+std::future<ServeResult> MultiTenantServer::submit(const std::string& tenant,
+                                                   Window window) {
+  return *do_submit(tenant, {}, std::make_unique<Window>(std::move(window)),
+                    /*blocking=*/true, nullptr);
 }
 
 std::optional<std::future<ServeResult>> MultiTenantServer::try_submit(
     const std::string& tenant, std::vector<float> hv,
     ServeStatus* shed_reason) {
-  return do_submit(tenant, std::move(hv), /*blocking=*/false, shed_reason);
+  return do_submit(tenant, std::move(hv), nullptr, /*blocking=*/false,
+                   shed_reason);
 }
 
 void MultiTenantServer::worker_loop(std::size_t shard_index,
@@ -287,6 +304,17 @@ void MultiTenantServer::process_batch(std::vector<Request>& batch,
   // (RCU read) and pins the model generation for the whole batch.
   const auto snap = batch.front().model->snapshot();
   const std::size_t dim = snap->backend->dim();
+  const auto batch_start = std::chrono::steady_clock::now();
+  auto encode_done = batch_start;
+  // Raw windows become rows of their request's `hv` here, so everything
+  // below — the dimension check, the matrix fill, the OOD buffer, the usage
+  // credit — treats them exactly like pre-encoded queries.
+  if (std::any_of(batch.begin(), batch.end(),
+                  [](const Request& r) { return r.window != nullptr; })) {
+    encode_windows(batch, *snap, slot);
+    if (batch.empty()) return;
+    encode_done = std::chrono::steady_clock::now();
+  }
 
   // One tenant's requests can still be pinned to DIFFERENT TenantModel
   // instances: evict + redeploy with a new dimension while earlier requests
@@ -319,7 +347,6 @@ void MultiTenantServer::process_batch(std::vector<Request>& batch,
     if (batch.empty()) return;
   }
   const std::size_t n = batch.size();
-  const auto batch_start = std::chrono::steady_clock::now();
 
   SmoreBatchResult result;
   try {
@@ -388,13 +415,13 @@ void MultiTenantServer::process_batch(std::vector<Request>& batch,
   // fulfilled: a submitter that returns from get() and immediately reads
   // stats()/tenant_stats() must see its own request counted, its quota
   // reservation released, and its latency recorded. record_batch is the ONE
-  // shared implementation of that invariant (counters, per-tenant
-  // histograms, trace spans) for both serving planes.
+  // implementation of that invariant (counters, per-tenant histograms,
+  // trace spans).
   std::vector<std::chrono::steady_clock::time_point> submit_times;
   submit_times.reserve(n);
   for (const Request& req : batch) submit_times.push_back(req.submit_time);
   tel_->record_batch(
-      {batch_start, /*encode_done=*/batch_start, predict_done, now},
+      {batch_start, encode_done, predict_done, now},
       submit_times, result.ood, result.labels, snap->version,
       static_cast<std::uint32_t>(worker_index / config_.workers_per_shard),
       slot.tenant, &slot.tel);
@@ -413,6 +440,57 @@ void MultiTenantServer::process_batch(std::vector<Request>& batch,
     r.snapshot_version = snap->version;
     batch[i].promise.set_value(std::move(r));
   }
+}
+
+void MultiTenantServer::encode_windows(std::vector<Request>& batch,
+                                       const ModelSnapshot& snap,
+                                       TenantSlot& slot) {
+  // Group by shape rather than encoding one dataset for all: a window the
+  // encoder rejects then fails only its own shape group, never a batch-mate.
+  std::map<std::pair<std::size_t, std::size_t>, std::vector<std::size_t>>
+      groups;  // (channels, steps) -> batch positions
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (batch[i].window != nullptr) {
+      groups[{batch[i].window->channels(), batch[i].window->steps()}]
+          .push_back(i);
+    }
+  }
+  // A single worker owns the whole machine and lets the encoder use the
+  // pool; with several, each stays serial so concurrent batches do not
+  // convoy on the shared global pool.
+  const bool parallel = config_.num_shards * config_.workers_per_shard == 1;
+  std::size_t failed = 0;
+  for (const auto& [shape, rows] : groups) {
+    try {
+      if (snap.encoder == nullptr) {
+        throw std::logic_error("MultiTenantServer: tenant " + slot.tenant +
+                               " has no encoder for raw windows");
+      }
+      WindowDataset windows("serve", shape.first, shape.second);
+      for (const std::size_t i : rows) {
+        windows.add(std::move(*batch[i].window));
+      }
+      HvMatrix encoded;
+      snap.encoder->encode_batch(windows, encoded, parallel);
+      for (std::size_t j = 0; j < rows.size(); ++j) {
+        const auto row = encoded.row(j);
+        batch[rows[j]].hv.assign(row.begin(), row.end());
+        batch[rows[j]].window.reset();  // encoded: a plain query from here on
+      }
+    } catch (...) {
+      // Accounting before fulfillment: the group's quota is released before
+      // any of its futures resolves.
+      const std::exception_ptr error = std::current_exception();
+      slot.inflight.fetch_sub(rows.size(), std::memory_order_relaxed);
+      for (const std::size_t i : rows) batch[i].promise.set_exception(error);
+      failed += rows.size();
+    }
+  }
+  if (failed == 0) return;
+  tel_->hub().emit(obs::EventType::kShed, slot.tenant, "encode-failed",
+                   static_cast<std::int64_t>(failed));
+  // Requests that still hold a window are exactly the failed ones.
+  std::erase_if(batch, [](const Request& r) { return r.window != nullptr; });
 }
 
 std::vector<std::shared_ptr<MultiTenantServer::TenantSlot>>

@@ -1,10 +1,19 @@
 #pragma once
-// MultiTenantServer: tenant routing, per-shard worker groups, and fair
-// admission control over the ModelRegistry (DESIGN.md §12).
+// MultiTenantServer: the serving plane (DESIGN.md §9, §12). Tenant routing,
+// per-shard worker groups, micro-batching, and fair admission control over
+// the ModelRegistry.
 //
-// The single-tenant InferenceServer (serve/server.hpp) scales one model to
-// many clients. A fleet inverts the problem: many tenants, each with its own
-// model, sharing one machine. Three mechanisms make that safe:
+//   producers ──submit()──▶ shard MpmcQueue ──pop_batch()──▶ shard workers
+//                (future)     (bounded,                       per-tenant
+//                              backpressure)                  micro-batches:
+//                                                             encode windows,
+//                                                             one predict,
+//                                                             fulfill futures
+//
+// Many tenants, each with its own model, share one machine; a single model
+// serving many clients is the one-tenant case of the same plane (the caller
+// builds its snapshot up front and hands the registry an opener that returns
+// it). Three mechanisms make sharing safe:
 //
 //   * tenant → shard routing — a request is hashed by tenant id onto one of
 //     `num_shards` shards. A shard is a thread slice that owns its own
@@ -31,15 +40,17 @@
 // fails THE REQUESTS that needed it — the returned future carries the
 // loader's exception, per-request, never process-wide.
 //
-// Requests are pre-encoded hypervectors: in a fleet the encoder is
-// tenant-specific state that travels inside the artifact, and per-tenant
-// in-batch encoding stays deferred. Per-tenant adaptation (ROADMAP item 3)
-// is served here: turn on MultiTenantConfig::adaptation and each tenant's
-// OOD traffic drives its own bounded domain lifecycle (DESIGN.md §13) —
-// flat per-tenant memory no matter how long its drift history runs.
-// Shutdown is graceful and total: queues close, workers
-// drain every pending group across all shards, every future is fulfilled,
-// and late submits resolve immediately with kShuttingDown.
+// Requests are pre-encoded hypervectors or raw multi-sensor windows. A
+// window is encoded inside its micro-batch by the pinned snapshot's encoder
+// (the encoder travels inside the artifact): the batch's windows are grouped
+// by shape and each group costs ONE Encoder::encode_batch call, so encoding
+// amortizes like the predict does. Per-tenant adaptation is served here too:
+// turn on MultiTenantConfig::adaptation and each tenant's OOD traffic drives
+// its own bounded domain lifecycle (DESIGN.md §13) — flat per-tenant memory
+// no matter how long its drift history runs. Shutdown is graceful and total:
+// queues close, workers drain every pending group across all shards, every
+// future is fulfilled, and late submits resolve immediately with
+// kShuttingDown.
 
 #include <atomic>
 #include <chrono>
@@ -58,9 +69,12 @@
 #include <vector>
 
 #include "core/domain_lifecycle.hpp"
+#include "data/timeseries.hpp"
+#include "obs/telemetry.hpp"
 #include "serve/adaptation.hpp"
 #include "serve/registry.hpp"
-#include "serve/server.hpp"
+#include "serve/status.hpp"
+#include "serve/telemetry.hpp"
 #include "util/annotations.hpp"
 #include "util/latency.hpp"
 #include "util/mpmc_queue.hpp"
@@ -68,9 +82,12 @@
 
 namespace smore {
 
-/// Fleet-serving knobs. Scheduler knobs (max_batch / max_delay_us) mean the
-/// same as in ServerConfig; the new surface is the shard layout and the
-/// fairness policy.
+/// Serving knobs. The two scheduler knobs trade latency for throughput:
+/// max_batch caps how much work one kernel pass fuses, and max_delay_us caps
+/// how long the first request of a batch waits for stragglers when traffic
+/// is sparse. Which representation answers queries is NOT a knob: every
+/// snapshot carries its own InferenceBackend (packed when quantized, float
+/// otherwise) and the workers just call it.
 struct MultiTenantConfig {
   std::size_t num_shards = 1;        ///< independent queue+worker slices
   std::size_t workers_per_shard = 1; ///< batching workers per shard
@@ -84,13 +101,12 @@ struct MultiTenantConfig {
   /// bypasses the quota — backpressure already slows that producer down.
   std::size_t tenant_inflight_quota = 256;
 
-  /// Per-tenant online adaptation (ROADMAP item 3): shard
-  /// workers feed each tenant's OOD traffic into that tenant's own bounded
-  /// side buffer, and ONE shared adaptation worker sweeps ready tenants,
-  /// runs a bounded lifecycle round (DESIGN.md §13) on the tenant's clone,
-  /// and republishes that tenant's generation. Always lifecycle-bounded:
-  /// a fleet tenant's model size is a function of lifecycle_config, never
-  /// of its traffic history. Cold (evicted) tenants are never reloaded just
+  /// Per-tenant online adaptation: shard workers feed each tenant's OOD
+  /// traffic into that tenant's own bounded side buffer, and ONE shared
+  /// adaptation worker sweeps ready tenants, runs a lifecycle round
+  /// (DESIGN.md §13) on the tenant's clone, and republishes that tenant's
+  /// generation. A tenant's model size is a function of lifecycle_config,
+  /// never of its traffic history. Cold (evicted) tenants are never reloaded just
   /// to adapt them — their buffered rounds are shed and counted.
   bool adaptation = false;
   std::size_t adapt_min_batch = 64;         ///< OOD windows per tenant round
@@ -184,6 +200,14 @@ class MultiTenantServer {
   std::future<ServeResult> submit(const std::string& tenant,
                                   std::vector<float> hv);
 
+  /// Submit one raw multi-sensor window for `tenant`, encoded inside the
+  /// micro-batch by the tenant's snapshot encoder (one encode_batch per
+  /// window shape per batch, not per request). Same blocking, load-failure
+  /// and shutdown behaviour as submit(hv); throws std::logic_error when the
+  /// tenant's snapshot carries no encoder. A window the encoder rejects
+  /// fails only its own future (and its shape group's), never a batch-mate.
+  std::future<ServeResult> submit(const std::string& tenant, Window window);
+
   /// Non-blocking submit: sheds instead of waiting. std::nullopt on a full
   /// shard queue (kShedQueueFull), an exhausted tenant quota
   /// (kShedTenantQuota, fair mode), or after shutdown (kShuttingDown) —
@@ -241,7 +265,8 @@ class MultiTenantServer {
   struct Request {
     std::shared_ptr<TenantSlot> slot;
     std::shared_ptr<TenantModel> model;  // pinned: eviction-safe
-    std::vector<float> hv;
+    std::vector<float> hv;  // encoded query (filled in-batch for a window)
+    std::unique_ptr<Window> window;  // raw window to encode; null otherwise
     std::promise<ServeResult> promise;
     std::chrono::steady_clock::time_point submit_time;
   };
@@ -253,13 +278,18 @@ class MultiTenantServer {
 
   std::shared_ptr<TenantSlot> slot_of(const std::string& tenant);
   Shard& shard_of(const std::string& tenant);
-  std::optional<std::future<ServeResult>> do_submit(const std::string& tenant,
-                                                    std::vector<float> hv,
-                                                    bool blocking,
-                                                    ServeStatus* shed_reason);
+  std::optional<std::future<ServeResult>> do_submit(
+      const std::string& tenant, std::vector<float> hv,
+      std::unique_ptr<Window> window, bool blocking,
+      ServeStatus* shed_reason);
   void worker_loop(std::size_t shard_index, std::size_t worker_index);
-  /// Run one single-tenant micro-batch end to end.
+  /// Run one tenant's micro-batch end to end.
   void process_batch(std::vector<Request>& batch, std::size_t worker_index);
+  /// Encode the batch's window requests into their `hv`, one encode_batch
+  /// per (channels, steps) group; a group whose encode throws is failed on
+  /// its own promises and dropped from the batch.
+  void encode_windows(std::vector<Request>& batch, const ModelSnapshot& snap,
+                      TenantSlot& slot);
   /// The shared per-tenant adaptation sweep (one thread for the fleet).
   void adaptation_loop();
   /// Periodic JSON snapshot writer (spawned when export_path is set).
@@ -288,7 +318,7 @@ class MultiTenantServer {
   };
   std::vector<std::unique_ptr<SlotShard>> slot_shards_;
 
-  // Fleet-plane counters/histograms live in the telemetry hub ({plane=fleet}
+  // Fleet counters/histograms live in the telemetry hub ({plane="fleet"}
   // series); stats() reads the same handles the hot path bumps.
   std::unique_ptr<ServeTelemetry> tel_;
   obs::Counter* tenants_seen_ = nullptr;  // slots ever created

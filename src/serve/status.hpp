@@ -1,9 +1,11 @@
 #pragma once
-// ServeStatus: the admission-control result plane shared by the
-// single-tenant server (serve/server.hpp), the multi-tenant router
-// (serve/router.hpp), and the telemetry layer (serve/telemetry.hpp), which
-// keys shed counters and shed events off it. Lives in its own header so
-// telemetry does not have to pull in either server.
+// ServeStatus and ServeResult: the result plane shared by the router
+// (serve/router.hpp) and the telemetry layer (serve/telemetry.hpp), which
+// keys shed counters and shed events off the status. Lives in its own
+// header so telemetry does not have to pull in the router.
+
+#include <cstdint>
+#include <vector>
 
 namespace smore {
 
@@ -28,5 +30,17 @@ enum class ServeStatus {
   }
   return "unknown";
 }
+
+/// Per-request response (the future's value). The non-status fields are
+/// meaningful only when `status == ServeStatus::kOk`.
+struct ServeResult {
+  ServeStatus status = ServeStatus::kOk;
+  int label = -1;
+  bool is_ood = false;
+  double max_similarity = 0.0;     ///< δ_max against the domain descriptors
+  std::vector<double> weights;     ///< ensemble weights used (size K)
+  double latency_seconds = 0.0;    ///< submit → fulfillment
+  std::uint64_t snapshot_version = 0;  ///< model generation that answered
+};
 
 }  // namespace smore

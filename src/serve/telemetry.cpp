@@ -23,16 +23,15 @@ std::uint64_t ns_between(std::chrono::steady_clock::time_point a,
 }  // namespace
 
 ServeTelemetry::ServeTelemetry(std::shared_ptr<obs::Telemetry> hub,
-                               std::string plane, std::size_t worker_stripes)
-    : hub_(hub != nullptr ? std::move(hub) : obs::Telemetry::make()),
-      plane_(std::move(plane)) {
+                               std::size_t worker_stripes)
+    : hub_(hub != nullptr ? std::move(hub) : obs::Telemetry::make()) {
   obs::MetricsRegistry& m = hub_->metrics();
-  const obs::Labels p{{"plane", plane_}};
+  const obs::Labels p{{"plane", "fleet"}};
   submitted = m.counter("smore_requests_submitted_total", p);
   rejected = m.counter("smore_requests_rejected_total", p);
   const auto shed = [&](const char* reason) {
     return m.counter("smore_requests_shed_total",
-                     {{"plane", plane_}, {"reason", reason}});
+                     {{"plane", "fleet"}, {"reason", reason}});
   };
   shed_queue_full = shed("queue-full");
   shed_quota = shed("tenant-quota");
@@ -54,7 +53,7 @@ ServeTelemetry::ServeTelemetry(std::shared_ptr<obs::Telemetry> hub,
   // "backend/kernel tier" fleet dimension, constant 1 with the tier as a
   // label (the Prometheus info-metric idiom).
   m.gauge("smore_kernel_tier_info",
-          {{"plane", plane_},
+          {{"plane", "fleet"},
            {"tier", kern::tier_name(kern::dispatch().tier)}})
       ->set(1.0);
 }

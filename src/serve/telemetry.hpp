@@ -1,12 +1,10 @@
 #pragma once
-// ServeTelemetry: the serving planes' shared metric vocabulary and the ONE
+// ServeTelemetry: the serving plane's metric vocabulary and the ONE
 // accounting-before-fulfillment implementation (DESIGN.md §14).
 //
-// Both process_batch sites (serve/server.cpp, serve/router.cpp) used to
-// carry their own copy of the same delicate counter-ordering block: all
-// externally observable accounting must land BEFORE any promise is
+// All externally observable accounting must land BEFORE any promise is
 // fulfilled, so a submitter that returns from get() and immediately reads
-// stats() sees its own request counted. That block now lives here once, as
+// stats() sees its own request counted. That block lives here once, as
 // record_batch(), which also cuts the per-request trace spans from the same
 // four timestamps (so queue+encode+predict+fulfill == total exactly) and
 // feeds the latency histograms.
@@ -48,13 +46,13 @@ struct TenantTelemetry {
   obs::Histogram* latency = nullptr;     ///< submit → fulfill
 };
 
-/// One serving plane's handle bundle over an obs::Telemetry hub. `plane`
-/// labels every plane-level series ("server" or "fleet"), so a hub shared
-/// between planes exports without collisions. A null hub means "private
-/// hub": stats views always work and unit tests never collide on names.
+/// The router's handle bundle over an obs::Telemetry hub. Every
+/// router-level series carries the {plane="fleet"} label. A null hub means
+/// "private hub": stats views always work and unit tests never collide on
+/// names.
 class ServeTelemetry {
  public:
-  ServeTelemetry(std::shared_ptr<obs::Telemetry> hub, std::string plane,
+  ServeTelemetry(std::shared_ptr<obs::Telemetry> hub,
                  std::size_t worker_stripes);
 
   [[nodiscard]] obs::Telemetry& hub() noexcept { return *hub_; }
@@ -63,15 +61,14 @@ class ServeTelemetry {
       const noexcept {
     return hub_;
   }
-  [[nodiscard]] const std::string& plane() const noexcept { return plane_; }
 
   /// Get-or-create the {tenant=name} handle bundle (call at slot creation,
   /// not per request — registration takes the registry mutex).
   [[nodiscard]] TenantTelemetry tenant(const std::string& name);
 
-  /// One refusal: plane rejected + per-reason shed counter, the tenant's
+  /// One refusal: fleet rejected + per-reason shed counter, the tenant's
   /// mirror counters when given, and exactly one kShed event carrying the
-  /// reason. `scope` is the tenant (fleet plane) or the plane name.
+  /// reason. `scope` is the tenant.
   void record_shed(ServeStatus reason, std::string_view scope,
                    const TenantTelemetry* tenant = nullptr);
 
@@ -79,8 +76,8 @@ class ServeTelemetry {
   /// registry emits the load-failure event; it made the call).
   void record_load_failure(const TenantTelemetry* tenant);
 
-  /// The four batch phase boundaries. `encode_done == batch_start` on planes
-  /// that take pre-encoded queries (the encode span reads 0).
+  /// The four batch phase boundaries. `encode_done == batch_start` for a
+  /// batch of pre-encoded queries (the encode span reads 0).
   struct BatchTimes {
     std::chrono::steady_clock::time_point batch_start;
     std::chrono::steady_clock::time_point encode_done;
@@ -89,7 +86,7 @@ class ServeTelemetry {
   };
 
   /// THE accounting-before-fulfillment block: batch/row/completed/ood
-  /// counters (plane + tenant), latency histograms when enabled, and one
+  /// counters (fleet + tenant), latency histograms when enabled, and one
   /// trace span per request when enabled — all from the caller's timestamps,
   /// all before the caller touches a promise. Spans are parallel over the
   /// batch: submit_times[i], ood_flags[i], labels[i] describe request i.
@@ -102,8 +99,8 @@ class ServeTelemetry {
                     std::string_view tenant_name,
                     const TenantTelemetry* tenant);
 
-  // Plane-level handles ({plane=...} label), public by design: the servers
-  // bump adaptation/drop counters at their own decision points.
+  // Fleet-level handles ({plane="fleet"} label), public by design: the
+  // router bumps adaptation/drop counters at its own decision points.
   obs::Counter* submitted = nullptr;
   obs::Counter* rejected = nullptr;  ///< all refusals (every shed reason)
   obs::Counter* shed_queue_full = nullptr;
@@ -120,11 +117,10 @@ class ServeTelemetry {
   obs::Counter* adapt_overflow = nullptr;
   obs::Counter* adapt_merged = nullptr;
   obs::Counter* adapt_evicted = nullptr;
-  obs::Histogram* latency = nullptr;  ///< submit → fulfill, plane-wide
+  obs::Histogram* latency = nullptr;  ///< submit → fulfill, fleet-wide
 
  private:
   std::shared_ptr<obs::Telemetry> hub_;
-  std::string plane_;
 };
 
 }  // namespace smore

@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -22,7 +24,6 @@
 #include "hdc/wide_counter.hpp"
 #include "serve/registry.hpp"
 #include "serve/router.hpp"
-#include "serve/server.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
 
@@ -278,6 +279,66 @@ TEST(DomainLifecycle, EvictionPrefersTheUnusedDomain) {
   }
 }
 
+TEST(DomainLifecycle, EnrollEveryRoundConfigMatchesTheLegacyLoop) {
+  // The pre-lifecycle adaptation policy enrolled each OOD round as ONE new
+  // domain: absorb_labeled of every sample under id max(ids)+1, no cap. One
+  // lifecycle round with a single cluster, an unreachable merge threshold
+  // and no cap is that policy — the same enrolled ids and bit-identical
+  // predict_batch_full output, round after round. This pins what the
+  // "unbounded" baseline of bench_adaptation_lifecycle measures.
+  SmoreModel legacy = lifecycle_fixture_model();
+  SmoreModel bounded = legacy.clone();
+  LifecycleConfig cfg;
+  cfg.max_domains = std::numeric_limits<std::size_t>::max();
+  cfg.merge_threshold = 2.0;  // cosine never reaches it: never merge
+  cfg.cluster.max_clusters = 1;
+  DomainLifecycle engine(cfg);
+  const HvDataset probe = separable_hv_dataset(3, 3, 4, legacy.dim(), 0.3,
+                                               0.8);
+  const auto expect_same = [](const SmoreBatchResult& a,
+                              const SmoreBatchResult& b) {
+    EXPECT_EQ(a.num_domains, b.num_domains);
+    EXPECT_EQ(a.labels, b.labels);
+    EXPECT_EQ(a.ood, b.ood);
+    EXPECT_EQ(a.max_similarity, b.max_similarity);
+    EXPECT_EQ(a.weights, b.weights);
+  };
+
+  for (std::uint64_t round = 0; round < 6; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    // A mixed round: two drift prototypes interleaved, mixed pseudo-labels.
+    const HvMatrix a = drift_cluster(12, legacy.dim(), 0x600 + round);
+    const HvMatrix b = drift_cluster(12, legacy.dim(), 0x700 + round);
+    HvMatrix rows(24, legacy.dim());
+    std::vector<int> labels(24);
+    for (std::size_t i = 0; i < 12; ++i) {
+      rows.set_row(2 * i, a.row(i));
+      rows.set_row(2 * i + 1, b.row(i));
+      labels[2 * i] = static_cast<int>(i % 3);
+      labels[2 * i + 1] = static_cast<int>((i + 1) % 3);
+    }
+
+    const std::vector<int>& ids = legacy.descriptors().domain_ids();
+    const int new_id = *std::max_element(ids.begin(), ids.end()) + 1;
+    for (std::size_t i = 0; i < rows.rows(); ++i) {
+      legacy.absorb_labeled(rows.row(i), labels[i], new_id);
+    }
+    const LifecycleRoundStats stats =
+        engine.run_round(bounded, rows.view(), labels);
+
+    EXPECT_EQ(stats.enrolled_ids, std::vector<int>{new_id});
+    EXPECT_EQ(stats.merged, 0u);
+    EXPECT_EQ(stats.evicted, 0u);
+    EXPECT_EQ(bounded.descriptors().domain_ids(),
+              legacy.descriptors().domain_ids());
+    expect_same(bounded.predict_batch_full(rows.view()),
+                legacy.predict_batch_full(rows.view()));
+    expect_same(bounded.predict_batch_full(probe.view()),
+                legacy.predict_batch_full(probe.view()));
+  }
+  EXPECT_EQ(bounded.num_domains(), 3u + 6u);
+}
+
 // ---------------------------------------------------------------------------
 // Persistence: lifecycle state survives save/load exactly
 // ---------------------------------------------------------------------------
@@ -328,24 +389,26 @@ TEST(DomainLifecycle, LifecycleStateRoundTripsThroughSerialization) {
 // ---------------------------------------------------------------------------
 
 TEST(DomainLifecycleServe, ServerKeepsTheBankBoundedUnderConcurrentLoad) {
+  // The single-model deployment: one tenant, two workers on its shard.
   constexpr std::size_t kDim = 128;
   const HvDataset train = separable_hv_dataset(3, 3, 20, kDim, 0.4, 0.5);
   SmoreModel model(3, kDim);
   model.fit(train);
   model.calibrate_delta_star(train, 0.05);
   const auto snap = ModelSnapshot::make(model.clone(), false, 1);
+  const auto registry = std::make_shared<ModelRegistry>(
+      [snap](const std::string&) { return snap; });
 
-  ServerConfig cfg;
+  MultiTenantConfig cfg;
   cfg.max_batch = 8;
   cfg.max_delay_us = 100;
-  cfg.num_workers = 2;
+  cfg.workers_per_shard = 2;
   cfg.adaptation = true;
-  cfg.lifecycle = true;
   cfg.adapt_min_batch = 8;
   cfg.adapt_poll_ms = 1;
   cfg.lifecycle_config.max_domains = 4;
   cfg.lifecycle_config.cluster.max_clusters = 2;
-  InferenceServer server(snap, nullptr, cfg);
+  MultiTenantServer server(registry, cfg);
 
   // Three producers: two stream in-distribution rows, one streams pure
   // noise (OOD) that keeps the lifecycle enrolling and evicting.
@@ -361,7 +424,7 @@ TEST(DomainLifecycleServe, ServerKeepsTheBankBoundedUnderConcurrentLoad) {
         const auto row = train.row(i % train.size());
         hv.assign(row.begin(), row.end());
       }
-      auto fut = server.submit(std::vector<float>(hv));
+      auto fut = server.submit("model", std::vector<float>(hv));
       (void)fut.get();
       fulfilled.fetch_add(1, std::memory_order_relaxed);
     }
@@ -380,11 +443,12 @@ TEST(DomainLifecycleServe, ServerKeepsTheBankBoundedUnderConcurrentLoad) {
   }
   server.shutdown();
 
-  const ServerStats stats = server.stats();
+  const MultiTenantStats stats = server.stats();
   EXPECT_EQ(fulfilled.load(), 3 * kPerProducer);
   EXPECT_EQ(stats.completed, 3 * kPerProducer);
   EXPECT_GE(stats.adaptation_rounds, 1u);
-  EXPECT_LE(stats.live_domains, cfg.lifecycle_config.max_domains);
+  EXPECT_LE(registry->resident("model")->snapshot()->model->num_domains(),
+            cfg.lifecycle_config.max_domains);
   // Every buffered OOD window is accounted for, absorbed or shed.
   EXPECT_GE(stats.ood_flagged,
             stats.adaptation_absorbed + stats.adaptation_dropped);

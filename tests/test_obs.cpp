@@ -3,7 +3,7 @@
 // record/snapshot (the torn-read regression), exporter formats (Prometheus
 // line-by-line, JSON round-trip), trace-ring tail retention across wrap,
 // the one-event-per-occurrence serving contract, and span/latency coverage
-// through a live server.
+// through a live router.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +25,6 @@
 #include "obs/telemetry.hpp"
 #include "serve/registry.hpp"
 #include "serve/router.hpp"
-#include "serve/server.hpp"
 #include "serve/telemetry.hpp"
 #include "test_util.hpp"
 
@@ -39,14 +38,14 @@ using obs::JsonValue;
 
 TEST(MetricsRegistry, GetOrCreateReturnsStableHandles) {
   obs::MetricsRegistry m;
-  obs::Counter* a = m.counter("requests_total", {{"plane", "server"}});
-  obs::Counter* b = m.counter("requests_total", {{"plane", "server"}});
+  obs::Counter* a = m.counter("requests_total", {{"plane", "fleet"}});
+  obs::Counter* b = m.counter("requests_total", {{"plane", "fleet"}});
   EXPECT_EQ(a, b);  // same identity → same handle
   a->add(3);
   EXPECT_EQ(b->value(), 3u);
 
   // Different labels → different series.
-  obs::Counter* c = m.counter("requests_total", {{"plane", "fleet"}});
+  obs::Counter* c = m.counter("requests_total", {{"tenant", "a"}});
   EXPECT_NE(a, c);
   EXPECT_EQ(c->value(), 0u);
 }
@@ -174,7 +173,7 @@ TEST(PrometheusExport, LineByLine) {
   tc.events = false;
   obs::Telemetry hub(tc);
   hub.metrics()
-      .counter("smore_requests_total", {{"plane", "server"}})
+      .counter("smore_requests_total", {{"plane", "fleet"}})
       ->add(17);
   hub.metrics().gauge("smore_live_domains")->set(3.0);
   obs::Histogram* h = hub.metrics().histogram("smore_latency_seconds");
@@ -202,7 +201,7 @@ TEST(PrometheusExport, LineByLine) {
   EXPECT_EQ(lines[5], "# TYPE smore_live_domains gauge");
   EXPECT_EQ(lines[6], "smore_live_domains 3");
   EXPECT_EQ(lines[7], "# TYPE smore_requests_total counter");
-  EXPECT_EQ(lines[8], "smore_requests_total{plane=\"server\"} 17");
+  EXPECT_EQ(lines[8], "smore_requests_total{plane=\"fleet\"} 17");
 }
 
 TEST(PrometheusExport, SanitizesNamesAndEscapesLabelValues) {
@@ -218,7 +217,7 @@ TEST(PrometheusExport, SanitizesNamesAndEscapesLabelValues) {
 
 TEST(JsonExport, RoundTripsThroughParse) {
   obs::Telemetry hub;
-  hub.metrics().counter("smore_requests_total", {{"plane", "server"}})->add(5);
+  hub.metrics().counter("smore_requests_total", {{"plane", "fleet"}})->add(5);
   hub.metrics().histogram("smore_latency_seconds")->record(2e-3);
   hub.emit(EventType::kSnapshotPublish, "server", "operator", 7);
   obs::TraceSpan span;
@@ -239,7 +238,7 @@ TEST(JsonExport, RoundTripsThroughParse) {
   for (const JsonValue& m : doc->at("metrics").items()) {
     if (m.at("name").as_string() == "smore_requests_total") {
       saw_counter = true;
-      EXPECT_EQ(m.at("labels").at("plane").as_string(), "server");
+      EXPECT_EQ(m.at("labels").at("plane").as_string(), "fleet");
       EXPECT_DOUBLE_EQ(m.at("value").as_double(), 5.0);
     }
     if (m.at("name").as_string() == "smore_latency_seconds") {
@@ -355,6 +354,25 @@ class ObsServingTest : public ::testing::Test {
     return buffer.str();
   }
 
+  /// The single-model deployment on `hub`: a registry whose every tenant is
+  /// the pipeline's boot snapshot, and a one-tenant router over it.
+  [[nodiscard]] std::shared_ptr<ModelRegistry> pinned_registry(
+      const std::shared_ptr<obs::Telemetry>& hub) const {
+    RegistryConfig rc;
+    rc.telemetry = hub;
+    return std::make_shared<ModelRegistry>(
+        [snap = ModelSnapshot::make(*pipeline_, 1)](const std::string&) {
+          return snap;
+        },
+        rc);
+  }
+  [[nodiscard]] static MultiTenantConfig on_hub(
+      const std::shared_ptr<obs::Telemetry>& hub) {
+    MultiTenantConfig mc;
+    mc.telemetry = hub;
+    return mc;
+  }
+
   WindowDataset windows_;
   std::unique_ptr<Pipeline> pipeline_;
   HvDataset queries_{128};
@@ -362,26 +380,24 @@ class ObsServingTest : public ::testing::Test {
 
 TEST_F(ObsServingTest, ServerEmitsExactlyOnePublishEventPerGeneration) {
   const auto hub = obs::Telemetry::make();
-  ServerConfig cfg;
-  cfg.telemetry = hub;
-  InferenceServer server(*pipeline_, cfg);
-  EXPECT_EQ(count_events(*hub, EventType::kSnapshotPublish, "boot"), 1u);
+  const auto registry = pinned_registry(hub);
+  MultiTenantServer server(registry, on_hub(hub));
+  (void)registry->acquire("m");  // boot: the one load of the model
+  EXPECT_EQ(count_events(*hub, EventType::kRegistryLoad), 1u);
 
-  ASSERT_TRUE(server.publish(ModelSnapshot::make(*pipeline_, 2)));
+  ASSERT_TRUE(registry->publish("m", ModelSnapshot::make(*pipeline_, 2)));
   EXPECT_EQ(count_events(*hub, EventType::kSnapshotPublish, "operator"), 1u);
   // A stale publish loses the CAS and must NOT emit.
-  EXPECT_FALSE(server.publish(ModelSnapshot::make(*pipeline_, 2)));
-  EXPECT_EQ(count_events(*hub, EventType::kSnapshotPublish), 2u);
+  EXPECT_FALSE(registry->publish("m", ModelSnapshot::make(*pipeline_, 2)));
+  EXPECT_EQ(count_events(*hub, EventType::kSnapshotPublish), 1u);
 }
 
 TEST_F(ObsServingTest, ShedEmitsExactlyOneEventWithReason) {
   const auto hub = obs::Telemetry::make();
-  ServerConfig cfg;
-  cfg.telemetry = hub;
-  InferenceServer server(*pipeline_, cfg);
+  MultiTenantServer server(pinned_registry(hub), on_hub(hub));
   server.shutdown();
   ServeStatus reason = ServeStatus::kOk;
-  EXPECT_FALSE(server.try_submit(query(0), &reason).has_value());
+  EXPECT_FALSE(server.try_submit("m", query(0), &reason).has_value());
   EXPECT_EQ(reason, ServeStatus::kShuttingDown);
   EXPECT_EQ(count_events(*hub, EventType::kShed, "shutting-down"), 1u);
   EXPECT_EQ(server.stats().rejected, 1u);
@@ -462,27 +478,25 @@ TEST_F(ObsServingTest, ByteBudgetEvictionEmitsOneEventPerVictim) {
 
 TEST_F(ObsServingTest, StatsAreAViewOverTheSharedHub) {
   const auto hub = obs::Telemetry::make();
-  ServerConfig cfg;
-  cfg.telemetry = hub;
-  InferenceServer server(*pipeline_, cfg);
+  MultiTenantServer server(pinned_registry(hub), on_hub(hub));
   const std::size_t n = queries_.size();
   std::vector<std::future<ServeResult>> futures;
-  for (std::size_t i = 0; i < n; ++i) futures.push_back(server.submit(query(i)));
+  for (std::size_t i = 0; i < n; ++i) {
+    futures.push_back(server.submit("m", query(i)));
+  }
   for (auto& f : futures) EXPECT_EQ(f.get().status, ServeStatus::kOk);
 
-  const ServerStats s = server.stats();
+  const MultiTenantStats s = server.stats();
   EXPECT_EQ(s.submitted, n);
   EXPECT_EQ(s.completed, n);
   EXPECT_EQ(s.latency.count, n);
 
   // The exporter reads the SAME series stats() reads.
   const std::string prom = obs::to_prometheus(*hub);
-  EXPECT_NE(prom.find("smore_requests_completed_total{plane=\"server\"} " +
+  EXPECT_NE(prom.find("smore_requests_completed_total{plane=\"fleet\"} " +
                       std::to_string(n)),
             std::string::npos);
   EXPECT_NE(prom.find("smore_kernel_tier_info"), std::string::npos);
-  EXPECT_NE(prom.find("smore_snapshot_version{plane=\"server\"}"),
-            std::string::npos);
 }
 
 TEST_F(ObsServingTest, SpansCoverEndToEndLatency) {
@@ -492,12 +506,12 @@ TEST_F(ObsServingTest, SpansCoverEndToEndLatency) {
     tc.trace.ring_capacity = 4096;
     return obs::Telemetry::make(tc);
   }();
-  ServerConfig cfg;
-  cfg.telemetry = hub;
-  InferenceServer server(*pipeline_, cfg);
+  MultiTenantServer server(pinned_registry(hub), on_hub(hub));
   const std::size_t n = queries_.size();
   std::vector<std::future<ServeResult>> futures;
-  for (std::size_t i = 0; i < n; ++i) futures.push_back(server.submit(query(i)));
+  for (std::size_t i = 0; i < n; ++i) {
+    futures.push_back(server.submit("m", query(i)));
+  }
   double max_latency = 0.0;
   for (auto& f : futures) {
     max_latency = std::max(max_latency, f.get().latency_seconds);
@@ -593,14 +607,14 @@ TEST_F(ObsServingTest, DisabledSwitchesKeepCountersButSkipDetail) {
   tc.traces = false;
   tc.events = false;
   const auto hub = obs::Telemetry::make(tc);
-  ServerConfig cfg;
-  cfg.telemetry = hub;
-  InferenceServer server(*pipeline_, cfg);
+  MultiTenantServer server(pinned_registry(hub), on_hub(hub));
   std::vector<std::future<ServeResult>> futures;
-  for (std::size_t i = 0; i < 8; ++i) futures.push_back(server.submit(query(i)));
+  for (std::size_t i = 0; i < 8; ++i) {
+    futures.push_back(server.submit("m", query(i)));
+  }
   for (auto& f : futures) EXPECT_EQ(f.get().status, ServeStatus::kOk);
 
-  const ServerStats s = server.stats();
+  const MultiTenantStats s = server.stats();
   EXPECT_EQ(s.completed, 8u);        // counters always on
   EXPECT_EQ(s.latency.count, 0u);    // histograms off → empty view
   EXPECT_EQ(hub->tracer().observed(), 0u);

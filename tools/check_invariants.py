@@ -23,8 +23,8 @@ Five rules, each a build failure in the static-analysis CI job:
                             std:: lock RAII / std::thread in src/ outside the
                             allowlist: locks go through the annotated
                             util/mutex.hpp wrappers (so clang -Wthread-safety
-                            sees them), threads through ThreadPool or the two
-                            serving planes. SMORE_NO_THREAD_SAFETY_ANALYSIS
+                            sees them), threads through ThreadPool or the
+                            serving router. SMORE_NO_THREAD_SAFETY_ANALYSIS
                             is wrapper-internals-only.
   INV-E  include hygiene    Every header starts with #pragma once; no
                             parent-relative ("../") includes; no <bits/...>.
@@ -55,7 +55,6 @@ BASELINE_PIN_FILES = {"src/util/cpu_features.cpp", "src/hdc/dispatch.cpp"}
 # decisions IT makes (publish, shed, evict, load, lifecycle); src/obs is the
 # event plumbing itself.
 EMIT_FILES = {
-    "src/serve/server.cpp",
     "src/serve/router.cpp",
     "src/serve/registry.cpp",
     "src/serve/adaptation.cpp",
@@ -80,8 +79,6 @@ BARE_LOCK_FILES = {"src/util/mutex.hpp"}
 BARE_THREAD_FILES = {
     "src/util/thread_pool.hpp",
     "src/util/thread_pool.cpp",
-    "src/serve/server.hpp",
-    "src/serve/server.cpp",
     "src/serve/router.hpp",
     "src/serve/router.cpp",
 }

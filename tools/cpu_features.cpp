@@ -18,13 +18,8 @@ int main() {
               d.forced ? " (forced via SMORE_KERNEL)" : "",
               d.clamped ? " (CLAMPED: requested tier not executable here)"
                         : "");
-  std::printf("build        : %s\n",
-#if defined(SMORE_NATIVE_ARCH_BUILD)
-              "-march=native (SMORE_NATIVE_ARCH=ON; not portable)"
-#else
-              "fat binary (portable baseline + runtime-dispatched kernels)"
-#endif
-  );
+  std::printf("build        : fat binary (portable baseline + "
+              "runtime-dispatched kernels)\n");
   std::printf("compiled-in tiers:");
   for (int t = 0; t < smore::kern::kNumTiers; ++t) {
     const auto tier = static_cast<smore::kern::IsaTier>(t);

@@ -3,7 +3,7 @@
 #include <future>
 #include <utility>
 
-#include "serve/server.hpp"
+#include "serve/status.hpp"
 
 namespace smore {
 
