@@ -52,7 +52,6 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #if defined(__linux__)
@@ -129,8 +128,8 @@ struct DriftWorlds {
 
 /// In-distribution training set: same class prototypes, small per-domain
 /// skew (the source domains), so the drift worlds above are genuinely OOD.
-HvDataset make_train(const DriftWorlds& worlds, int domains,
-                     std::size_t per_cell, Rng& rng) {
+HvDataset make_source_domains(const DriftWorlds& worlds, int domains,
+                              std::size_t per_cell, Rng& rng) {
   HvDataset data(worlds.dim);
   std::vector<float> row(worlds.dim);
   for (int d = 0; d < domains; ++d) {
@@ -301,9 +300,8 @@ Cohort cohort(const std::vector<WindowRecord>& windows, std::size_t begin,
     rss_sum += static_cast<double>(windows[i].rss);
   }
   if (p99s.empty()) return c;
-  std::sort(p99s.begin(), p99s.end());
-  c.p99 = p99s[p99s.size() / 2];
   c.rss = rss_sum / static_cast<double>(p99s.size());
+  c.p99 = bench::median(std::move(p99s));
   return c;
 }
 
@@ -331,17 +329,37 @@ void print_run(const char* name, const RunOutcome& run) {
   std::fflush(stdout);
 }
 
-void emit_windows(std::FILE* f, const RunOutcome& run) {
+/// The per-mode JSON block: summary fields, then every window record.
+obs::JsonValue run_json(const RunOutcome& run, double p99_ratio,
+                        double rss_ratio, bool bounded) {
+  const MultiTenantStats& s = run.final_stats;
+  obs::JsonValue out = bench::json_object({
+      {"max_domains_seen", run.max_domains_seen},
+      {"p99_late_over_early", p99_ratio},
+      {"rss_late_over_early", rss_ratio},
+      {"recurring_accuracy", run.recurring_accuracy},
+      {"adaptation_rounds", s.adaptation_rounds},
+  });
+  if (bounded) {
+    out.set("adaptation_merged", s.adaptation_merged);
+    out.set("adaptation_evicted", s.adaptation_evicted);
+  }
+  out.set("adaptation_overflow", s.adaptation_overflow);
+  obs::JsonValue windows = obs::JsonValue::array();
   for (std::size_t i = 0; i < run.windows.size(); ++i) {
     const WindowRecord& w = run.windows[i];
-    std::fprintf(f,
-                 "      {\"window\": %zu, \"phase\": \"%s\", "
-                 "\"p50_ms\": %.4f, \"p99_ms\": %.4f, \"live_domains\": %zu, "
-                 "\"rss_bytes\": %zu, \"accuracy\": %.4f}%s\n",
-                 i, w.phase.c_str(), 1e3 * w.latency.p50_seconds,
-                 1e3 * w.latency.p99_seconds, w.live_domains, w.rss,
-                 w.accuracy, i + 1 < run.windows.size() ? "," : "");
+    windows.push_back(bench::json_object({
+        {"window", i},
+        {"phase", w.phase},
+        {"p50_ms", 1e3 * w.latency.p50_seconds},
+        {"p99_ms", 1e3 * w.latency.p99_seconds},
+        {"live_domains", w.live_domains},
+        {"rss_bytes", w.rss},
+        {"accuracy", w.accuracy},
+    }));
   }
+  out.set("windows", std::move(windows));
+  return out;
 }
 
 }  // namespace
@@ -389,7 +407,7 @@ int main(int argc, char** argv) {
 
   Rng rng(seed);
   const DriftWorlds worlds(dim, classes, rng);
-  const HvDataset train = make_train(worlds, domains, 20, rng);
+  const HvDataset train = make_source_domains(worlds, domains, 20, rng);
   SmoreModel model(classes, dim);
   model.fit(train);
   model.calibrate_delta_star(train, 0.05);
@@ -450,77 +468,25 @@ int main(int argc, char** argv) {
       bounded.recurring_accuracy, unbounded.recurring_accuracy, acc_gap,
       pass_accuracy ? "PASS" : "FAIL");
 
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(
-      f,
-      "{\n"
-      "  \"cycles\": %zu,\n"
-      "  \"windows_per_phase\": %zu,\n"
-      "  \"window_queries\": %zu,\n"
-      "  \"dim\": %zu,\n"
-      "  \"classes\": %d,\n"
-      "  \"source_domains\": %d,\n"
-      "  \"max_domains\": %zu,\n"
-      "  \"adapt_min_batch\": %zu,\n"
-      "  \"rss_supported\": %s,\n"
-      "  \"bounded\": {\n"
-      "    \"max_domains_seen\": %zu,\n"
-      "    \"p99_late_over_early\": %.4f,\n"
-      "    \"rss_late_over_early\": %.4f,\n"
-      "    \"recurring_accuracy\": %.4f,\n"
-      "    \"adaptation_rounds\": %llu,\n"
-      "    \"adaptation_merged\": %llu,\n"
-      "    \"adaptation_evicted\": %llu,\n"
-      "    \"adaptation_overflow\": %llu,\n"
-      "    \"windows\": [\n",
-      p.cycles, p.windows_per_phase, p.window_queries, dim, classes, domains,
-      max_domains, adapt_min_batch, rss_supported ? "true" : "false",
-      bounded.max_domains_seen, b_p99_ratio, b_rss_ratio,
-      bounded.recurring_accuracy,
-      static_cast<unsigned long long>(bounded.final_stats.adaptation_rounds),
-      static_cast<unsigned long long>(bounded.final_stats.adaptation_merged),
-      static_cast<unsigned long long>(bounded.final_stats.adaptation_evicted),
-      static_cast<unsigned long long>(
-          bounded.final_stats.adaptation_overflow));
-  emit_windows(f, bounded);
-  std::fprintf(
-      f,
-      "    ]\n"
-      "  },\n"
-      "  \"unbounded\": {\n"
-      "    \"max_domains_seen\": %zu,\n"
-      "    \"p99_late_over_early\": %.4f,\n"
-      "    \"rss_late_over_early\": %.4f,\n"
-      "    \"recurring_accuracy\": %.4f,\n"
-      "    \"adaptation_rounds\": %llu,\n"
-      "    \"adaptation_overflow\": %llu,\n"
-      "    \"windows\": [\n",
-      unbounded.max_domains_seen, u_p99_ratio, u_rss_ratio,
-      unbounded.recurring_accuracy,
-      static_cast<unsigned long long>(unbounded.final_stats.adaptation_rounds),
-      static_cast<unsigned long long>(
-          unbounded.final_stats.adaptation_overflow));
-  emit_windows(f, unbounded);
-  std::fprintf(f,
-               "    ]\n"
-               "  },\n"
-               "  \"accept\": {\n"
-               "    \"bounded_bank_capped\": %s,\n"
-               "    \"bounded_flat_p99\": %s,\n"
-               "    \"bounded_flat_rss\": %s,\n"
-               "    \"unbounded_baseline_grows\": %s,\n"
-               "    \"recurring_accuracy_within_003\": %s\n"
-               "  }\n"
-               "}\n",
-               pass_cap ? "true" : "false", pass_flat_p99 ? "true" : "false",
-               pass_flat_rss ? "true" : "false",
-               baseline_grows ? "true" : "false",
-               pass_accuracy ? "true" : "false");
-  std::fclose(f);
-  std::printf("(json: %s)\n", out_path.c_str());
-  return 0;
+  const obs::JsonValue doc = bench::json_object({
+      {"cycles", p.cycles},
+      {"windows_per_phase", p.windows_per_phase},
+      {"window_queries", p.window_queries},
+      {"dim", dim},
+      {"classes", classes},
+      {"source_domains", domains},
+      {"max_domains", max_domains},
+      {"adapt_min_batch", adapt_min_batch},
+      {"rss_supported", rss_supported},
+      {"bounded", run_json(bounded, b_p99_ratio, b_rss_ratio, true)},
+      {"unbounded", run_json(unbounded, u_p99_ratio, u_rss_ratio, false)},
+      {"accept", bench::json_object({
+                     {"bounded_bank_capped", pass_cap},
+                     {"bounded_flat_p99", pass_flat_p99},
+                     {"bounded_flat_rss", pass_flat_rss},
+                     {"unbounded_baseline_grows", baseline_grows},
+                     {"recurring_accuracy_within_003", pass_accuracy},
+                 })},
+  });
+  return bench::write_json(out_path, doc) ? 0 : 1;
 }

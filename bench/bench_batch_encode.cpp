@@ -33,7 +33,6 @@
 
 #include "bench_common.hpp"
 #include "data/timeseries.hpp"
-#include "eval/timer.hpp"
 #include "hdc/encoder.hpp"
 #include "hdc/hv_matrix.hpp"
 #include "hdc/ops.hpp"
@@ -43,19 +42,6 @@
 
 namespace {
 using namespace smore;
-
-/// Best-of-repeats wall-clock seconds for `body`.
-template <typename F>
-double best_seconds(int repeats, F&& body) {
-  double best = 1e300;
-  for (int r = 0; r < repeats; ++r) {
-    WallTimer t;
-    body();
-    const double s = t.seconds();
-    if (s < best) best = s;
-  }
-  return best;
-}
 
 bool rows_bit_identical(const HvMatrix& a, const HvMatrix& b) {
   if (a.rows() != b.rows() || a.dim() != b.dim()) return false;
@@ -110,7 +96,7 @@ int main(int argc, char** argv) {
   HvMatrix scalar_out(n, dim);
   HvMatrix batch_out;
 
-  const double ms_scalar_s = best_seconds(repeats, [&] {
+  const double ms_scalar_s = bench::best_seconds(repeats, [&] {
     // The pre-batching hot loop: per-window encode with reused scratch, then
     // a row copy — exactly what encode_dataset did before the batch engine.
     EncodeScratch scratch;
@@ -119,10 +105,10 @@ int main(int argc, char** argv) {
       std::copy(hv.data(), hv.data() + dim, scalar_out.row(i).begin());
     }
   });
-  const double ms_batch_1t_s = best_seconds(
+  const double ms_batch_1t_s = bench::best_seconds(
       repeats, [&] { encoder.encode_batch(data, batch_out, /*parallel=*/false); });
   const bool ms_identical = rows_bit_identical(scalar_out, batch_out);
-  const double ms_batch_mt_s = best_seconds(
+  const double ms_batch_mt_s = bench::best_seconds(
       repeats, [&] { encoder.encode_batch(data, batch_out, /*parallel=*/true); });
   const bool ms_mt_identical = rows_bit_identical(scalar_out, batch_out);
 
@@ -164,7 +150,7 @@ int main(int argc, char** argv) {
         b = static_cast<float>(wrng.uniform(0.0, 2.0 * 3.14159265358979323846));
       }
     }
-    pj_scalar_s = best_seconds(repeats, [&] {
+    pj_scalar_s = bench::best_seconds(repeats, [&] {
       for (std::size_t i = 0; i < n; ++i) {
         const float* x = data[i].values().data();
         float* row = scalar_out.row(i).data();
@@ -175,7 +161,7 @@ int main(int argc, char** argv) {
         }
       }
     });
-    pj_batch_1t_s = best_seconds(
+    pj_batch_1t_s = bench::best_seconds(
         repeats, [&] { proj.encode_batch(data, batch_out, /*parallel=*/false); });
     // Legacy and batch accumulate the dots in a different order, so they
     // agree to rounding, not bitwise; report the max gap.
@@ -185,7 +171,7 @@ int main(int argc, char** argv) {
       if (diff > pj_legacy_max_diff) pj_legacy_max_diff = diff;
     }
     const HvMatrix serial_out = batch_out;  // keep the 1T rows for the checks
-    pj_batch_mt_s = best_seconds(
+    pj_batch_mt_s = bench::best_seconds(
         repeats, [&] { proj.encode_batch(data, batch_out, /*parallel=*/true); });
     // Bit-identity holds between today's scalar API (encode(): batch of one
     // through the same kernel) and the batch rows, for any thread count.
@@ -207,45 +193,32 @@ int main(int argc, char** argv) {
                 pj_identical ? "yes" : "NO", pj_legacy_max_diff);
   }
 
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(
-      f,
-      "{\n"
-      "  \"windows\": %zu,\n"
-      "  \"channels\": %zu,\n"
-      "  \"steps\": %zu,\n"
-      "  \"dim\": %zu,\n"
-      "  \"hardware_threads\": %u,\n"
-      "  \"multisensor_per_window_seconds\": %.6f,\n"
-      "  \"multisensor_batch_single_thread_seconds\": %.6f,\n"
-      "  \"multisensor_batch_multi_thread_seconds\": %.6f,\n"
-      "  \"multisensor_per_window_windows_per_second\": %.1f,\n"
-      "  \"multisensor_batch_single_thread_windows_per_second\": %.1f,\n"
-      "  \"multisensor_batch_multi_thread_windows_per_second\": %.1f,\n"
-      "  \"speedup_single_thread\": %.3f,\n"
-      "  \"speedup_multi_thread\": %.3f,\n"
-      "  \"multisensor_bit_identical\": %s,\n"
-      "  \"projection_per_window_seconds\": %.6f,\n"
-      "  \"projection_batch_single_thread_seconds\": %.6f,\n"
-      "  \"projection_batch_multi_thread_seconds\": %.6f,\n"
-      "  \"projection_speedup_single_thread\": %.3f,\n"
-      "  \"projection_speedup_multi_thread\": %.3f,\n"
-      "  \"projection_bit_identical\": %s,\n"
-      "  \"projection_vs_legacy_max_abs_diff\": %.3g\n"
-      "}\n",
-      n, channels, steps, dim, threads, ms_scalar_s, ms_batch_1t_s,
-      ms_batch_mt_s, nd / ms_scalar_s, nd / ms_batch_1t_s, nd / ms_batch_mt_s,
-      ms_scalar_s / ms_batch_1t_s, ms_scalar_s / ms_batch_mt_s,
-      (ms_identical && ms_mt_identical) ? "true" : "false",
-      pj_scalar_s, pj_batch_1t_s, pj_batch_mt_s,
-      pj_batch_1t_s > 0.0 ? pj_scalar_s / pj_batch_1t_s : 0.0,
-      pj_batch_mt_s > 0.0 ? pj_scalar_s / pj_batch_mt_s : 0.0,
-      pj_identical ? "true" : "false", pj_legacy_max_diff);
-  std::fclose(f);
-  std::printf("(json: %s)\n", out_path.c_str());
-  return 0;
+  const obs::JsonValue doc = bench::json_object({
+      {"windows", n},
+      {"channels", channels},
+      {"steps", steps},
+      {"dim", dim},
+      {"hardware_threads", bench::hardware_threads()},
+      {"multisensor_per_window_seconds", ms_scalar_s},
+      {"multisensor_batch_single_thread_seconds", ms_batch_1t_s},
+      {"multisensor_batch_multi_thread_seconds", ms_batch_mt_s},
+      {"multisensor_per_window_windows_per_second", nd / ms_scalar_s},
+      {"multisensor_batch_single_thread_windows_per_second",
+       nd / ms_batch_1t_s},
+      {"multisensor_batch_multi_thread_windows_per_second",
+       nd / ms_batch_mt_s},
+      {"speedup_single_thread", ms_scalar_s / ms_batch_1t_s},
+      {"speedup_multi_thread", ms_scalar_s / ms_batch_mt_s},
+      {"multisensor_bit_identical", ms_identical && ms_mt_identical},
+      {"projection_per_window_seconds", pj_scalar_s},
+      {"projection_batch_single_thread_seconds", pj_batch_1t_s},
+      {"projection_batch_multi_thread_seconds", pj_batch_mt_s},
+      {"projection_speedup_single_thread",
+       pj_batch_1t_s > 0.0 ? pj_scalar_s / pj_batch_1t_s : 0.0},
+      {"projection_speedup_multi_thread",
+       pj_batch_mt_s > 0.0 ? pj_scalar_s / pj_batch_mt_s : 0.0},
+      {"projection_bit_identical", pj_identical},
+      {"projection_vs_legacy_max_abs_diff", pj_legacy_max_diff},
+  });
+  return bench::write_json(out_path, doc) ? 0 : 1;
 }

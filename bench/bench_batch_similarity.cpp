@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "eval/timer.hpp"
 #include "hdc/hv_matrix.hpp"
 #include "hdc/ops.hpp"
 #include "util/cli.hpp"
@@ -27,19 +26,6 @@
 
 namespace {
 using namespace smore;
-
-/// Best-of-repeats wall-clock seconds for `body`.
-template <typename F>
-double best_seconds(int repeats, F&& body) {
-  double best = 1e300;
-  for (int r = 0; r < repeats; ++r) {
-    WallTimer t;
-    body();
-    const double s = t.seconds();
-    if (s < best) best = s;
-  }
-  return best;
-}
 
 /// The seed's cosine: three separate sweeps (two norms, then the dot) —
 /// kept here as the pre-refactor baseline after ops::cosine was fused.
@@ -87,7 +73,7 @@ int main(int argc, char** argv) {
   std::printf("[bench] %zu queries x %zu prototypes x d=%zu (%d repeats)\n",
               nq, np, dim, repeats);
 
-  const double scalar_s = best_seconds(repeats, [&] {
+  const double scalar_s = bench::best_seconds(repeats, [&] {
     for (std::size_t q = 0; q < nq; ++q) {
       const float* qrow = queries.row(q).data();
       for (std::size_t p = 0; p < np; ++p) {
@@ -97,7 +83,7 @@ int main(int argc, char** argv) {
     }
   });
 
-  const double fused_s = best_seconds(repeats, [&] {
+  const double fused_s = bench::best_seconds(repeats, [&] {
     for (std::size_t q = 0; q < nq; ++q) {
       const float* qrow = queries.row(q).data();
       for (std::size_t p = 0; p < np; ++p) {
@@ -107,12 +93,12 @@ int main(int argc, char** argv) {
     }
   });
 
-  const double batch_1t_s = best_seconds(repeats, [&] {
+  const double batch_1t_s = bench::best_seconds(repeats, [&] {
     ops::similarity_matrix(queries.data(), nq, protos.data(), np, dim,
                            batch_out.data(), nullptr, /*parallel=*/false);
   });
 
-  const double batch_mt_s = best_seconds(repeats, [&] {
+  const double batch_mt_s = bench::best_seconds(repeats, [&] {
     ops::similarity_matrix(queries.data(), nq, protos.data(), np, dim,
                            batch_out.data(), nullptr, /*parallel=*/true);
   });
@@ -142,35 +128,23 @@ int main(int argc, char** argv) {
               batch_mt_s, batch_mt_qps, scalar_s / batch_mt_s, threads);
   std::printf("  max |scalar - batch| = %.3g\n", max_abs_diff);
 
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"queries\": %zu,\n"
-               "  \"prototypes\": %zu,\n"
-               "  \"dim\": %zu,\n"
-               "  \"hardware_threads\": %u,\n"
-               "  \"scalar_seconds\": %.6f,\n"
-               "  \"scalar_fused_seconds\": %.6f,\n"
-               "  \"batch_single_thread_seconds\": %.6f,\n"
-               "  \"batch_multi_thread_seconds\": %.6f,\n"
-               "  \"scalar_queries_per_second\": %.1f,\n"
-               "  \"scalar_fused_queries_per_second\": %.1f,\n"
-               "  \"batch_single_thread_queries_per_second\": %.1f,\n"
-               "  \"batch_multi_thread_queries_per_second\": %.1f,\n"
-               "  \"speedup_single_thread\": %.3f,\n"
-               "  \"speedup_multi_thread\": %.3f,\n"
-               "  \"speedup_single_thread_vs_fused\": %.3f,\n"
-               "  \"max_abs_diff\": %.3g\n"
-               "}\n",
-               nq, np, dim, threads, scalar_s, fused_s, batch_1t_s, batch_mt_s,
-               scalar_qps, fused_qps, batch_1t_qps, batch_mt_qps,
-               scalar_s / batch_1t_s, scalar_s / batch_mt_s,
-               fused_s / batch_1t_s, max_abs_diff);
-  std::fclose(f);
-  std::printf("(json: %s)\n", out_path.c_str());
-  return 0;
+  const obs::JsonValue doc = bench::json_object({
+      {"queries", nq},
+      {"prototypes", np},
+      {"dim", dim},
+      {"hardware_threads", bench::hardware_threads()},
+      {"scalar_seconds", scalar_s},
+      {"scalar_fused_seconds", fused_s},
+      {"batch_single_thread_seconds", batch_1t_s},
+      {"batch_multi_thread_seconds", batch_mt_s},
+      {"scalar_queries_per_second", scalar_qps},
+      {"scalar_fused_queries_per_second", fused_qps},
+      {"batch_single_thread_queries_per_second", batch_1t_qps},
+      {"batch_multi_thread_queries_per_second", batch_mt_qps},
+      {"speedup_single_thread", scalar_s / batch_1t_s},
+      {"speedup_multi_thread", scalar_s / batch_mt_s},
+      {"speedup_single_thread_vs_fused", fused_s / batch_1t_s},
+      {"max_abs_diff", max_abs_diff},
+  });
+  return bench::write_json(out_path, doc) ? 0 : 1;
 }

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "eval/timer.hpp"
 #include "hdc/binary.hpp"
 #include "hdc/bit_matrix.hpp"
 #include "hdc/hv_matrix.hpp"
@@ -32,23 +31,7 @@
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 
-namespace {
 using namespace smore;
-
-/// Best-of-repeats wall-clock seconds for `body`.
-template <typename F>
-double best_seconds(int repeats, F&& body) {
-  double best = 1e300;
-  for (int r = 0; r < repeats; ++r) {
-    WallTimer t;
-    body();
-    const double s = t.seconds();
-    if (s < best) best = s;
-  }
-  return best;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   CliParser cli(
@@ -100,7 +83,7 @@ int main(int argc, char** argv) {
     class_bits.emplace_back(model.class_vector(static_cast<int>(c)).span());
   }
   std::vector<int> scalar_labels(nq);
-  const double scalar_s = best_seconds(repeats, [&] {
+  const double scalar_s = bench::best_seconds(repeats, [&] {
     for (std::size_t q = 0; q < nq; ++q) {
       const BinaryVector query(queries.row(q));  // bit-by-bit quantization
       int best = 0;
@@ -121,7 +104,7 @@ int main(int argc, char** argv) {
   query_bits.reserve(nq);
   for (std::size_t q = 0; q < nq; ++q) query_bits.emplace_back(queries.row(q));
   std::vector<std::size_t> scalar_dist(nq * nc);
-  const double scalar_ham_s = best_seconds(repeats, [&] {
+  const double scalar_ham_s = bench::best_seconds(repeats, [&] {
     for (std::size_t q = 0; q < nq; ++q) {
       for (std::size_t c = 0; c < nc; ++c) {
         scalar_dist[q * nc + c] = query_bits[q].hamming(class_bits[c]);
@@ -154,14 +137,14 @@ int main(int argc, char** argv) {
   };
   std::vector<int> packed_labels;
   const double packed_1t_s =
-      best_seconds(repeats, [&] { packed_labels = packed_pipeline(false); });
+      bench::best_seconds(repeats, [&] { packed_labels = packed_pipeline(false); });
   const double packed_mt_s =
-      best_seconds(repeats, [&] { packed_labels = packed_pipeline(true); });
+      bench::best_seconds(repeats, [&] { packed_labels = packed_pipeline(true); });
 
   // Kernel-only packed timing (pre-packed queries, Hamming matrix only).
   const BitMatrix qbits = ops::sign_pack_matrix(queries.view());
   std::vector<std::size_t> kernel_dist(nq * nc);
-  const double packed_ham_s = best_seconds(repeats, [&] {
+  const double packed_ham_s = bench::best_seconds(repeats, [&] {
     ops::hamming_matrix(qbits.view(), binary.class_bits().view(),
                         kernel_dist.data(), /*parallel=*/false);
   });
@@ -172,7 +155,7 @@ int main(int argc, char** argv) {
     float_classes.set_row(c, model.class_vector(static_cast<int>(c)).span());
   }
   std::vector<double> float_sims(nq * nc);
-  const double float_1t_s = best_seconds(repeats, [&] {
+  const double float_1t_s = bench::best_seconds(repeats, [&] {
     ops::similarity_matrix(queries.data(), nq, float_classes.data(), nc, dim,
                            float_sims.data(), nullptr, /*parallel=*/false);
   });
@@ -228,47 +211,33 @@ int main(int argc, char** argv) {
               "(both must be 0)\n",
               dist_mismatches, label_mismatches);
 
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(
-      f,
-      "{\n"
-      "  \"queries\": %zu,\n"
-      "  \"classes\": %zu,\n"
-      "  \"dim\": %zu,\n"
-      "  \"hardware_threads\": %u,\n"
-      "  \"scalar_seconds\": %.6f,\n"
-      "  \"packed_single_thread_seconds\": %.6f,\n"
-      "  \"packed_multi_thread_seconds\": %.6f,\n"
-      "  \"float_single_thread_seconds\": %.6f,\n"
-      "  \"scalar_queries_per_second\": %.1f,\n"
-      "  \"packed_single_thread_queries_per_second\": %.1f,\n"
-      "  \"packed_multi_thread_queries_per_second\": %.1f,\n"
-      "  \"float_single_thread_queries_per_second\": %.1f,\n"
-      "  \"scalar_hamming_queries_per_second\": %.1f,\n"
-      "  \"hamming_matrix_queries_per_second\": %.1f,\n"
-      "  \"speedup_single_thread_vs_scalar\": %.3f,\n"
-      "  \"speedup_multi_thread_vs_scalar\": %.3f,\n"
-      "  \"speedup_packed_vs_float\": %.3f,\n"
-      "  \"kernel_speedup_vs_scalar_hamming\": %.3f,\n"
-      "  \"model_float_bytes\": %zu,\n"
-      "  \"model_packed_bytes\": %zu,\n"
-      "  \"query_float_bytes\": %zu,\n"
-      "  \"query_packed_bytes\": %zu,\n"
-      "  \"footprint_ratio\": %.2f,\n"
-      "  \"distance_mismatches\": %zu,\n"
-      "  \"label_mismatches\": %zu\n"
-      "}\n",
-      nq, nc, dim, threads, scalar_s, packed_1t_s, packed_mt_s, float_1t_s,
-      scalar_qps, packed_1t_qps, packed_mt_qps, float_1t_qps, scalar_ham_qps,
-      packed_ham_qps, scalar_s / packed_1t_s, scalar_s / packed_mt_s,
-      float_1t_s / packed_1t_s, scalar_ham_s / packed_ham_s,
-      model_float_bytes, model_packed_bytes, query_float_bytes,
-      query_packed_bytes, footprint_ratio, dist_mismatches, label_mismatches);
-  std::fclose(f);
-  std::printf("(json: %s)\n", out_path.c_str());
+  const obs::JsonValue doc = bench::json_object({
+      {"queries", nq},
+      {"classes", nc},
+      {"dim", dim},
+      {"hardware_threads", bench::hardware_threads()},
+      {"scalar_seconds", scalar_s},
+      {"packed_single_thread_seconds", packed_1t_s},
+      {"packed_multi_thread_seconds", packed_mt_s},
+      {"float_single_thread_seconds", float_1t_s},
+      {"scalar_queries_per_second", scalar_qps},
+      {"packed_single_thread_queries_per_second", packed_1t_qps},
+      {"packed_multi_thread_queries_per_second", packed_mt_qps},
+      {"float_single_thread_queries_per_second", float_1t_qps},
+      {"scalar_hamming_queries_per_second", scalar_ham_qps},
+      {"hamming_matrix_queries_per_second", packed_ham_qps},
+      {"speedup_single_thread_vs_scalar", scalar_s / packed_1t_s},
+      {"speedup_multi_thread_vs_scalar", scalar_s / packed_mt_s},
+      {"speedup_packed_vs_float", float_1t_s / packed_1t_s},
+      {"kernel_speedup_vs_scalar_hamming", scalar_ham_s / packed_ham_s},
+      {"model_float_bytes", model_float_bytes},
+      {"model_packed_bytes", model_packed_bytes},
+      {"query_float_bytes", query_float_bytes},
+      {"query_packed_bytes", query_packed_bytes},
+      {"footprint_ratio", footprint_ratio},
+      {"distance_mismatches", dist_mismatches},
+      {"label_mismatches", label_mismatches},
+  });
+  if (!bench::write_json(out_path, doc)) return 1;
   return dist_mismatches + label_mismatches == 0 ? 0 : 1;
 }

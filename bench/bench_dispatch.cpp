@@ -19,11 +19,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "eval/timer.hpp"
 #include "hdc/bit_matrix.hpp"
 #include "hdc/dispatch.hpp"
 #include "hdc/hv_matrix.hpp"
@@ -34,18 +32,6 @@
 
 namespace {
 using namespace smore;
-
-template <typename F>
-double best_seconds(int repeats, F&& body) {
-  double best = 1e300;
-  for (int r = 0; r < repeats; ++r) {
-    WallTimer t;
-    body();
-    const double s = t.seconds();
-    if (s < best) best = s;
-  }
-  return best;
-}
 
 /// Per-tier throughput snapshot (queries/s, grams/s, rows/s...).
 struct TierRow {
@@ -149,7 +135,7 @@ int main(int argc, char** argv) {
   const auto measure = [&](const std::string& label) {
     TierRow row;
     row.tier = label;
-    const double dot_s = best_seconds(repeats, [&] {
+    const double dot_s = bench::best_seconds(repeats, [&] {
       double sink = 0.0;
       for (int i = 0; i < dot_iters; ++i) {
         sink += ops::dot(queries.row(i % nq).data(),
@@ -163,26 +149,26 @@ int main(int argc, char** argv) {
     // The similarity pass is the acceptance-gating number and only ~0.1 s
     // per repeat; sample it over 3x the repeats so best-of rides out
     // scheduler-steal bursts on shared hosts.
-    const double sim_s = best_seconds(repeats * 3, [&] {
+    const double sim_s = bench::best_seconds(repeats * 3, [&] {
       ops::similarity_matrix(queries.data(), nq, protos.data(), nc, dim,
                              sims.data(), nullptr, /*parallel=*/true);
     });
     row.similarity_qps = static_cast<double>(nq) / sim_s;
     const int ngram_iters = 500;
-    const double ngram_s = best_seconds(repeats, [&] {
+    const double ngram_s = bench::best_seconds(repeats, [&] {
       for (int i = 0; i < ngram_iters; ++i) {
         ops::ngram_axpy(levels.data(), shifts.data(), n_factors, dim, 0.5f,
                         ngram_acc.data());
       }
     });
     row.ngram_grams_per_s = static_cast<double>(ngram_iters) / ngram_s;
-    const double proj_s = best_seconds(repeats, [&] {
+    const double proj_s = bench::best_seconds(repeats, [&] {
       ops::project_cos_matrix(proj_x.data(), proj_windows, proj_wt.data(),
                               dim, features, proj_bias.data(),
                               proj_out.data(), /*parallel=*/true);
     });
     row.project_windows_per_s = static_cast<double>(proj_windows) / proj_s;
-    const double pack_s = best_seconds(repeats, [&] {
+    const double pack_s = bench::best_seconds(repeats, [&] {
       ops::sign_pack_matrix(queries.data(), nq, dim, pack_out.data(),
                             pack_out.words_per_row(), /*parallel=*/true);
     });
@@ -190,7 +176,7 @@ int main(int argc, char** argv) {
     // One hamming_matrix pass is ~1-2 ms at the default scale — far below
     // scheduler noise on shared hosts — so each repeat times a batch.
     const int ham_iters = 20;
-    const double ham_s = best_seconds(repeats, [&] {
+    const double ham_s = bench::best_seconds(repeats, [&] {
       for (int i = 0; i < ham_iters; ++i) {
         ops::hamming_matrix(qbits.data(), nq, pbits.data(), nc,
                             qbits.words_per_row(), dists.data(),
@@ -248,47 +234,32 @@ int main(int argc, char** argv) {
   }
 
   // ------------------------------------------------------------------ JSON
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
+  obs::JsonValue tiers = obs::JsonValue::array();
+  for (const TierRow& r : rows) {
+    tiers.push_back(bench::json_object({
+        {"tier", r.tier},
+        {"dot_melems_per_second", r.dot_melems_per_s},
+        {"similarity_matrix_queries_per_second", r.similarity_qps},
+        {"ngram_axpy_grams_per_second", r.ngram_grams_per_s},
+        {"project_cos_windows_per_second", r.project_windows_per_s},
+        {"sign_pack_rows_per_second", r.sign_pack_rows_per_s},
+        {"hamming_matrix_queries_per_second", r.hamming_qps},
+    }));
   }
-  std::fprintf(f,
-               "{\n"
-               "  \"auto_tier\": \"%s\",\n"
-               "  \"queries\": %zu,\n"
-               "  \"classes\": %zu,\n"
-               "  \"dim\": %zu,\n"
-               "  \"hardware_threads\": %u,\n"
-               "  \"tiers\": [\n",
-               auto_tier.c_str(), nq, nc, dim,
-               std::thread::hardware_concurrency());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const TierRow& r = rows[i];
-    std::fprintf(f,
-                 "    {\"tier\": \"%s\", \"dot_melems_per_second\": %.1f, "
-                 "\"similarity_matrix_queries_per_second\": %.1f, "
-                 "\"ngram_axpy_grams_per_second\": %.1f, "
-                 "\"project_cos_windows_per_second\": %.1f, "
-                 "\"sign_pack_rows_per_second\": %.1f, "
-                 "\"hamming_matrix_queries_per_second\": %.1f}%s\n",
-                 r.tier.c_str(), r.dot_melems_per_s, r.similarity_qps,
-                 r.ngram_grams_per_s, r.project_windows_per_s,
-                 r.sign_pack_rows_per_s, r.hamming_qps,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f,
-               "  ],\n"
-               "  \"native_ref_similarity_queries_per_second\": %.1f,\n"
-               "  \"native_ref_hamming_queries_per_second\": %.1f,\n"
-               "  \"auto_vs_native_similarity\": %.4f,\n"
-               "  \"auto_vs_native_hamming\": %.4f,\n"
-               "  \"acceptance_threshold\": 0.90,\n"
-               "  \"acceptance_pass\": %s\n"
-               "}\n",
-               ref_similarity_qps, ref_hamming_qps, sim_ratio, ham_ratio,
-               have_ref ? (acceptance_pass ? "true" : "false") : "null");
-  std::fclose(f);
-  std::printf("(json: %s)\n", out_path.c_str());
-  return 0;
+  const obs::JsonValue doc = bench::json_object({
+      {"auto_tier", auto_tier},
+      {"queries", nq},
+      {"classes", nc},
+      {"dim", dim},
+      {"hardware_threads", bench::hardware_threads()},
+      {"tiers", std::move(tiers)},
+      {"native_ref_similarity_queries_per_second", ref_similarity_qps},
+      {"native_ref_hamming_queries_per_second", ref_hamming_qps},
+      {"auto_vs_native_similarity", sim_ratio},
+      {"auto_vs_native_hamming", ham_ratio},
+      {"acceptance_threshold", 0.90},
+      {"acceptance_pass",
+       have_ref ? obs::JsonValue(acceptance_pass) : obs::JsonValue()},
+  });
+  return bench::write_json(out_path, doc) ? 0 : 1;
 }

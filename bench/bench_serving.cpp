@@ -25,19 +25,17 @@
 // contention across cores, serialized single-query kernels) to dominate
 // per-request compute, which holds on a multicore server (the paper's has
 // 24 hardware threads) where micro-batches also fan out across `--workers`.
-// This dev/CI environment exposes ONE core: every stage is compute-bound,
-// the worker never sleeps under pipelined load, and the ratio is capped by
-// ceiling_vs_batch1 = direct_qps / batch1_qps (~1.1-1.6× here) no matter
-// the scheduler. The bench therefore reports the measured speedup AND the
-// single-core ceiling so the comparison reads as a shape claim; rerun with
-// real cores (e.g. --workers=4 --producers=8) for the paper-scale figure.
+// On a single core every stage is compute-bound, the worker never sleeps
+// under pipelined load, and the ratio is capped by ceiling_vs_batch1 =
+// direct_qps / batch1_qps (~1.1-1.6× there) no matter the scheduler. The
+// bench therefore reports the measured speedup AND that compute ceiling so
+// the comparison reads as a shape claim; rerun with more workers (e.g.
+// --workers=4 --producers=8) for the paper-scale figure.
 // Emits BENCH_serving.json for CI tracking.
 
+#include <algorithm>
 #include <cstdio>
-#include <deque>
-#include <future>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -54,32 +52,6 @@
 
 namespace {
 using namespace smore;
-
-/// Linearly separable encoded dataset (no encoder in the loop: this bench
-/// isolates scheduling + inference, like bench_binary_inference).
-HvDataset make_train(int classes, int domains, std::size_t per_cell,
-                     std::size_t dim, Rng& rng) {
-  std::vector<std::vector<float>> prototypes;
-  for (int c = 0; c < classes; ++c) {
-    std::vector<float> p(dim);
-    for (auto& x : p) x = rng.bipolar();
-    prototypes.push_back(std::move(p));
-  }
-  HvDataset data(dim);
-  std::vector<float> row(dim);
-  for (int d = 0; d < domains; ++d) {
-    for (int c = 0; c < classes; ++c) {
-      for (std::size_t i = 0; i < per_cell; ++i) {
-        for (std::size_t j = 0; j < dim; ++j) {
-          row[j] = prototypes[static_cast<std::size_t>(c)][j] +
-                   static_cast<float>(rng.normal(0.0, 0.5));
-        }
-        data.add(row, c, d);
-      }
-    }
-  }
-  return data;
-}
 
 struct RunResult {
   std::string label;
@@ -114,29 +86,13 @@ RunResult run_config(const char* label, std::size_t max_batch,
           [snap](const std::string&) { return snap; }),
       cfg);
 
-  WallTimer timer;
-  std::vector<std::thread> threads;
-  threads.reserve(producers);
-  for (std::size_t p = 0; p < producers; ++p) {
-    threads.emplace_back([&, p] {
-      const std::size_t n = total / producers;
-      std::deque<std::future<ServeResult>> inflight;
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto row = queries.row((p * n + i) % queries.rows());
-        inflight.push_back(server.submit("model", {row.begin(), row.end()}));
-        if (inflight.size() >= window) {
-          inflight.front().get();
-          inflight.pop_front();
-        }
-      }
-      while (!inflight.empty()) {
-        inflight.front().get();
-        inflight.pop_front();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const double seconds = timer.seconds();
+  const double seconds =
+      bench::drive_closed_loop(total, producers, window, [&](std::size_t) {
+        return [&](std::size_t idx) -> bench::Submitted {
+          const auto row = queries.row(idx % queries.rows());
+          return server.submit("model", {row.begin(), row.end()});
+        };
+      }).seconds;
   server.shutdown();
   const MultiTenantStats stats = server.stats();
 
@@ -200,23 +156,12 @@ int main(int argc, char** argv) {
       cli.get_bool("metrics-json") ? obs::Telemetry::make() : nullptr;
 
   Rng rng(static_cast<std::uint64_t>(cli.get_int("seed")));
-  const HvDataset train = make_train(classes, domains, 20, dim, rng);
+  const HvDataset train = bench::make_train(classes, domains, 20, dim, rng);
   SmoreModel model(classes, dim);
   model.fit(train);
   model.calibrate_delta_star(train, 0.05);
 
-  // Query mix: mostly in-distribution rows, some noise (exercises the OOD
-  // branch of the weights loop like real traffic would).
-  HvMatrix queries(1024, dim);
-  for (std::size_t i = 0; i < queries.rows(); ++i) {
-    if (i % 8 == 7) {
-      for (std::size_t j = 0; j < dim; ++j) {
-        queries.row(i)[j] = static_cast<float>(rng.normal());
-      }
-    } else {
-      queries.set_row(i, train.row(i % train.size()));
-    }
-  }
+  const HvMatrix queries = bench::make_queries(train, rng);
 
   const auto float_snap = ModelSnapshot::make(model.clone(), false, 1);
   const auto packed_snap = ModelSnapshot::make(model.clone(), true, 1);
@@ -280,50 +225,35 @@ int main(int argc, char** argv) {
               "multicore: see the scale note)\n",
               speedup, ceiling);
 
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
+  obs::JsonValue configs = obs::JsonValue::array();
+  for (const RunResult& r : results) {
+    configs.push_back(bench::json_object({
+        {"backend", r.backend},
+        {"max_batch", r.max_batch},
+        {"max_delay_us", static_cast<std::uint64_t>(r.max_delay_us)},
+        {"seconds", r.seconds},
+        {"queries_per_second", r.qps},
+        {"mean_batch_fill", r.mean_batch_fill},
+        {"p50_ms", 1e3 * r.latency.p50_seconds},
+        {"p95_ms", 1e3 * r.latency.p95_seconds},
+        {"p99_ms", 1e3 * r.latency.p99_seconds},
+        {"max_ms", 1e3 * r.latency.max_seconds},
+    }));
   }
-  std::fprintf(f,
-               "{\n"
-               "  \"queries_per_config\": %zu,\n"
-               "  \"dim\": %zu,\n"
-               "  \"classes\": %d,\n"
-               "  \"domains\": %d,\n"
-               "  \"producers\": %zu,\n"
-               "  \"window\": %zu,\n"
-               "  \"workers\": %zu,\n"
-               "  \"hardware_threads\": %u,\n"
-               "  \"direct_batched_queries_per_second\": %.1f,\n"
-               "  \"speedup_microbatch_vs_submit_loop_float\": %.3f,\n"
-               "  \"single_core_ceiling_vs_submit_loop\": %.3f,\n"
-               "  \"configs\": [\n",
-               total, dim, classes, domains, producers, window, workers,
-               std::thread::hardware_concurrency(), direct_qps, speedup,
-               ceiling);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const RunResult& r = results[i];
-    std::fprintf(f,
-                 "    {\"backend\": \"%s\", \"max_batch\": %zu, "
-                 "\"max_delay_us\": %u, \"seconds\": %.6f, "
-                 "\"queries_per_second\": %.1f, \"mean_batch_fill\": %.2f, "
-                 "\"p50_ms\": %.4f, \"p95_ms\": %.4f, \"p99_ms\": %.4f, "
-                 "\"max_ms\": %.4f}%s\n",
-                 r.backend.c_str(), r.max_batch, r.max_delay_us, r.seconds,
-                 r.qps, r.mean_batch_fill, 1e3 * r.latency.p50_seconds,
-                 1e3 * r.latency.p95_seconds, 1e3 * r.latency.p99_seconds,
-                 1e3 * r.latency.max_seconds,
-                 i + 1 < results.size() ? "," : "");
-  }
-  if (hub != nullptr) {
-    // The snapshot is already JSON: splice it in as a raw value.
-    std::fprintf(f, "  ],\n  \"telemetry\": %s\n}\n",
-                 obs::snapshot_json(*hub).dump(2).c_str());
-  } else {
-    std::fprintf(f, "  ]\n}\n");
-  }
-  std::fclose(f);
-  std::printf("(json: %s)\n", out_path.c_str());
-  return 0;
+  obs::JsonValue doc = bench::json_object({
+      {"queries_per_config", total},
+      {"dim", dim},
+      {"classes", classes},
+      {"domains", domains},
+      {"producers", producers},
+      {"window", window},
+      {"workers", workers},
+      {"hardware_threads", bench::hardware_threads()},
+      {"direct_batched_queries_per_second", direct_qps},
+      {"speedup_microbatch_vs_submit_loop_float", speedup},
+      {"single_core_ceiling_vs_submit_loop", ceiling},
+      {"configs", std::move(configs)},
+  });
+  if (hub != nullptr) doc.set("telemetry", obs::snapshot_json(*hub));
+  return bench::write_json(out_path, doc) ? 0 : 1;
 }

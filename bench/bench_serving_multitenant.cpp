@@ -24,28 +24,20 @@
 // tail-cohort p99 within 3x head p99 with fairness on; peak resident bytes
 // <= the configured budget across the churn phase.
 //
-// Scale note (same caveat as bench_serving.cpp): this environment exposes
-// ONE core, so shards/workers add scheduling, not parallel compute, and
-// all fleet-vs-single ratios are shape claims. Rerun with real cores
-// (--shards 4 --workers-per-shard 2) for deployment-scale figures.
+// Scale note (same caveat as bench_serving.cpp): the defaults run one shard
+// and one worker, so all fleet-vs-single ratios are shape claims. Rerun
+// with --shards 4 --workers-per-shard 2 for deployment-scale figures.
 // Emits BENCH_serving_multitenant.json for CI tracking.
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <deque>
-#include <future>
 #include <memory>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/pipeline.hpp"
 #include "eval/timer.hpp"
-#include "hdc/encoder.hpp"
 #include "hdc/hv_matrix.hpp"
 #include "obs/export.hpp"
 #include "obs/telemetry.hpp"
@@ -56,32 +48,6 @@
 
 namespace {
 using namespace smore;
-
-/// Linearly separable encoded dataset (no encoder in the serving loop: the
-/// bench isolates routing + scheduling + inference, like bench_serving).
-HvDataset make_train(int classes, int domains, std::size_t per_cell,
-                     std::size_t dim, Rng& rng) {
-  std::vector<std::vector<float>> prototypes;
-  for (int c = 0; c < classes; ++c) {
-    std::vector<float> p(dim);
-    for (auto& x : p) x = rng.bipolar();
-    prototypes.push_back(std::move(p));
-  }
-  HvDataset data(dim);
-  std::vector<float> row(dim);
-  for (int d = 0; d < domains; ++d) {
-    for (int c = 0; c < classes; ++c) {
-      for (std::size_t i = 0; i < per_cell; ++i) {
-        for (std::size_t j = 0; j < dim; ++j) {
-          row[j] = prototypes[static_cast<std::size_t>(c)][j] +
-                   static_cast<float>(rng.normal(0.0, 0.5));
-        }
-        data.add(row, c, d);
-      }
-    }
-  }
-  return data;
-}
 
 /// Zipf(s) CDF over ranks 0..n-1 (rank 0 is the head tenant).
 std::vector<double> zipf_cdf(std::size_t n, double s) {
@@ -141,39 +107,16 @@ ZipfResult run_zipf(bool fair, std::size_t quota,
     server.submit(t, {row.begin(), row.end()}).get();
   }
 
-  std::atomic<std::uint64_t> sheds{0};
-  WallTimer timer;
-  std::vector<std::thread> threads;
-  threads.reserve(producers);
-  for (std::size_t p = 0; p < producers; ++p) {
-    threads.emplace_back([&, p] {
-      Rng prng = rng.fork(1000 + p);
-      const std::size_t n = total / producers;
-      std::deque<std::future<ServeResult>> inflight;
-      std::uint64_t my_sheds = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t rank = zipf_sample(cdf, prng.uniform());
-        const auto row = queries.row((p * n + i) % queries.rows());
-        auto fut = server.try_submit(tenants[rank], {row.begin(), row.end()});
-        if (fut.has_value()) {
-          inflight.push_back(std::move(*fut));
-          if (inflight.size() >= window) {
-            inflight.front().get();
-            inflight.pop_front();
-          }
-        } else {
-          ++my_sheds;  // open-loop: shed requests are dropped, not retried
-        }
-      }
-      while (!inflight.empty()) {
-        inflight.front().get();
-        inflight.pop_front();
-      }
-      sheds.fetch_add(my_sheds);
-    });
-  }
-  for (auto& t : threads) t.join();
-  const double seconds = timer.seconds();
+  // Open loop: a shed request is dropped, not retried.
+  const bench::ClosedLoopResult load =
+      bench::drive_closed_loop(total, producers, window, [&](std::size_t p) {
+        return [&, prng = rng.fork(1000 + p)](
+                   std::size_t idx) mutable -> bench::Submitted {
+          const std::size_t rank = zipf_sample(cdf, prng.uniform());
+          const auto row = queries.row(idx % queries.rows());
+          return server.try_submit(tenants[rank], {row.begin(), row.end()});
+        };
+      });
   server.shutdown();
 
   const MultiTenantStats stats = server.stats();
@@ -194,10 +137,10 @@ ZipfResult run_zipf(bool fair, std::size_t quota,
   const std::uint64_t head_attempted = head.submitted + head_shed;
 
   ZipfResult r;
-  r.seconds = seconds;
+  r.seconds = load.seconds;
   r.completed = stats.completed;
-  r.sheds = sheds.load();
-  r.qps = static_cast<double>(stats.completed) / seconds;
+  r.sheds = load.shed;
+  r.qps = static_cast<double>(stats.completed) / load.seconds;
   r.mean_batch_fill = stats.mean_batch_fill;
   r.head_p99_ms = 1e3 * head.latency.quantile(0.99);
   r.tail_p99_ms = 1e3 * tail.quantile(0.99);
@@ -290,30 +233,10 @@ int main(int argc, char** argv) {
   // ---- one trained artifact, shared by every tenant (tenant identity is a
   // routing/residency concern; weights don't change the scheduling cost)
   Rng rng(static_cast<std::uint64_t>(cli.get_int("seed")));
-  const HvDataset train = make_train(classes, domains, 20, dim, rng);
-  EncoderConfig ec;
-  ec.dim = dim;
-  Pipeline pipeline(std::make_shared<const MultiSensorEncoder>(ec),
-                    train.num_classes());
-  pipeline.fit_encoded(train);
-  pipeline.model().calibrate_delta_star(train, 0.05);
-  pipeline.quantize();  // packed backend serves; δ* transfers pre-calibration
-  std::string artifact;
-  {
-    std::ostringstream buffer(std::ios::binary);
-    pipeline.save(buffer);
-    artifact = buffer.str();
-  }
-  const ModelRegistry::ArtifactOpener opener =
-      [artifact](const std::string&) {
-        std::istringstream in(artifact, std::ios::binary);
-        return ModelSnapshot::from_artifact(in, /*version=*/1);
-      };
-  std::size_t per_model_bytes;
-  {
-    std::istringstream in(artifact, std::ios::binary);
-    per_model_bytes = snapshot_resident_bytes(*ModelSnapshot::from_artifact(in, 1));
-  }
+  const HvDataset train = bench::make_train(classes, domains, 20, dim, rng);
+  const std::string artifact = bench::packed_artifact(train);
+  const ModelRegistry::ArtifactOpener opener = bench::artifact_opener(artifact);
+  const std::size_t per_model_bytes = snapshot_resident_bytes(*opener(""));
 
   std::vector<std::string> tenants;
   tenants.reserve(tenants_n);
@@ -322,17 +245,7 @@ int main(int argc, char** argv) {
   }
   const std::vector<double> cdf = zipf_cdf(tenants_n, 1.0);
 
-  // Query mix: mostly in-distribution rows, some noise.
-  HvMatrix queries(1024, dim);
-  for (std::size_t i = 0; i < queries.rows(); ++i) {
-    if (i % 8 == 7) {
-      for (std::size_t j = 0; j < dim; ++j) {
-        queries.row(i)[j] = static_cast<float>(rng.normal());
-      }
-    } else {
-      queries.set_row(i, train.row(i % train.size()));
-    }
-  }
+  const HvMatrix queries = bench::make_queries(train, rng);
 
   std::printf("[bench] %zu tenants, %zu requests/phase, d=%zu, artifact "
               "%.0f KiB (%.0f KiB resident), %zu producers x window %zu, "
@@ -345,8 +258,7 @@ int main(int argc, char** argv) {
   // ---- phase: direct kernel ceiling (no server)
   double direct_qps;
   {
-    std::istringstream in(artifact, std::ios::binary);
-    const auto snap = ModelSnapshot::from_artifact(in, 1);
+    const auto snap = opener("");
     WallTimer t;
     std::size_t done = 0;
     while (done < total) {
@@ -366,29 +278,13 @@ int main(int argc, char** argv) {
     MultiTenantServer server(std::move(registry), base_cfg);
     const auto row0 = queries.row(0);
     server.submit(tenants[0], {row0.begin(), row0.end()}).get();  // warm
-    WallTimer t;
-    std::vector<std::thread> threads;
-    for (std::size_t p = 0; p < producers; ++p) {
-      threads.emplace_back([&, p] {
-        const std::size_t n = total / producers;
-        std::deque<std::future<ServeResult>> inflight;
-        for (std::size_t i = 0; i < n; ++i) {
-          const auto row = queries.row((p * n + i) % queries.rows());
-          inflight.push_back(
-              server.submit(tenants[0], {row.begin(), row.end()}));
-          if (inflight.size() >= window) {
-            inflight.front().get();
-            inflight.pop_front();
-          }
-        }
-        while (!inflight.empty()) {
-          inflight.front().get();
-          inflight.pop_front();
-        }
-      });
-    }
-    for (auto& th : threads) th.join();
-    const double seconds = t.seconds();
+    const double seconds =
+        bench::drive_closed_loop(total, producers, window, [&](std::size_t) {
+          return [&](std::size_t idx) -> bench::Submitted {
+            const auto row = queries.row(idx % queries.rows());
+            return server.submit(tenants[0], {row.begin(), row.end()});
+          };
+        }).seconds;
     server.shutdown();
     single_qps = static_cast<double>(server.stats().completed) / seconds;
     std::printf("  %-28s %7llu q in %7.3f s  %9.0f q/s  fill %5.1f\n",
@@ -450,31 +346,16 @@ int main(int argc, char** argv) {
     auto registry = churn_registry =
         std::make_shared<ModelRegistry>(opener, rc);
     MultiTenantServer server(std::move(registry), base_cfg);
-    WallTimer t;
-    std::vector<std::thread> threads;
-    for (std::size_t p = 0; p < producers; ++p) {
-      threads.emplace_back([&, p] {
-        Rng prng = rng.fork(5000 + p);
-        const std::size_t n = churn_total / producers;
-        std::deque<std::future<ServeResult>> inflight;
-        for (std::size_t i = 0; i < n; ++i) {
-          const std::size_t rank = prng.index(tenants_n);  // uniform: churns
-          const auto row = queries.row((p * n + i) % queries.rows());
-          inflight.push_back(
-              server.submit(tenants[rank], {row.begin(), row.end()}));
-          if (inflight.size() >= window) {
-            inflight.front().get();
-            inflight.pop_front();
-          }
-        }
-        while (!inflight.empty()) {
-          inflight.front().get();
-          inflight.pop_front();
-        }
-      });
-    }
-    for (auto& th : threads) th.join();
-    const double seconds = t.seconds();
+    const double seconds =
+        bench::drive_closed_loop(churn_total, producers, window,
+                                 [&](std::size_t p) {
+          return [&, prng = rng.fork(5000 + p)](
+                     std::size_t idx) mutable -> bench::Submitted {
+            const std::size_t rank = prng.index(tenants_n);  // uniform: churns
+            const auto row = queries.row(idx % queries.rows());
+            return server.submit(tenants[rank], {row.begin(), row.end()});
+          };
+        }).seconds;
     server.shutdown();
     const RegistryStats rs = server.stats().registry;
     churn_budget = rc.byte_budget;
@@ -503,74 +384,59 @@ int main(int argc, char** argv) {
               throughput_ratio, fair.tail_head_ratio,
               unfair.tail_head_ratio, churn_bounded ? "bounded" : "VIOLATED");
 
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(
-      f,
-      "{\n"
-      "  \"tenants\": %zu,\n"
-      "  \"queries_per_phase\": %zu,\n"
-      "  \"dim\": %zu,\n"
-      "  \"classes\": %d,\n"
-      "  \"domains\": %d,\n"
-      "  \"producers\": %zu,\n"
-      "  \"window\": %zu,\n"
-      "  \"shards\": %zu,\n"
-      "  \"workers_per_shard\": %zu,\n"
-      "  \"max_batch\": %zu,\n"
-      "  \"tenant_inflight_quota\": %zu,\n"
-      "  \"zipf_s\": 1.0,\n"
-      "  \"hardware_threads\": %u,\n"
-      "  \"artifact_bytes\": %zu,\n"
-      "  \"resident_bytes_per_model\": %zu,\n"
-      "  \"direct_packed_queries_per_second\": %.1f,\n"
-      "  \"single_tenant_queries_per_second\": %.1f,\n"
-      "  \"cold_start_p50_ms\": %.4f,\n"
-      "  \"cold_start_p95_ms\": %.4f,\n"
-      "  \"warm_p50_ms\": %.4f,\n"
-      "  \"zipf_fair\": {\"queries_per_second\": %.1f, \"completed\": %llu, "
-      "\"sheds\": %llu, \"mean_batch_fill\": %.2f, \"head_p99_ms\": %.4f, "
-      "\"tail_p99_ms\": %.4f, \"tail_head_p99_ratio\": %.3f, "
-      "\"head_shed_fraction\": %.4f, \"tail_shed_fraction\": %.4f},\n"
-      "  \"zipf_unfair\": {\"queries_per_second\": %.1f, \"completed\": "
-      "%llu, \"sheds\": %llu, \"mean_batch_fill\": %.2f, \"head_p99_ms\": "
-      "%.4f, \"tail_p99_ms\": %.4f, \"tail_head_p99_ratio\": %.3f, "
-      "\"head_shed_fraction\": %.4f, \"tail_shed_fraction\": %.4f},\n"
-      "  \"churn\": {\"byte_budget\": %zu, \"peak_resident_bytes\": %zu, "
-      "\"bounded_by_budget\": %s, \"loads\": %llu, \"evictions\": %llu, "
-      "\"queries_per_second\": %.1f},\n"
-      "  \"acceptance\": {\"throughput_ratio_vs_single_tenant\": %.3f, "
-      "\"throughput_ratio_min\": 0.8, \"tail_head_p99_ratio_fair\": %.3f, "
-      "\"tail_head_p99_ratio_max\": 3.0, \"churn_resident_bounded\": %s}",
-      tenants_n, total, dim, classes, domains, producers, window,
-      base_cfg.num_shards, base_cfg.workers_per_shard, base_cfg.max_batch,
-      quota, std::thread::hardware_concurrency(), artifact.size(),
-      per_model_bytes, direct_qps, single_qps, cold_p50_ms, cold_p95_ms,
-      warm_p50_ms, fair.qps,
-      static_cast<unsigned long long>(fair.completed),
-      static_cast<unsigned long long>(fair.sheds), fair.mean_batch_fill,
-      fair.head_p99_ms, fair.tail_p99_ms, fair.tail_head_ratio,
-      fair.head_shed_fraction, fair.tail_shed_fraction, unfair.qps,
-      static_cast<unsigned long long>(unfair.completed),
-      static_cast<unsigned long long>(unfair.sheds),
-      unfair.mean_batch_fill, unfair.head_p99_ms, unfair.tail_p99_ms,
-      unfair.tail_head_ratio, unfair.head_shed_fraction,
-      unfair.tail_shed_fraction, churn_budget, churn_peak,
-      churn_bounded ? "true" : "false",
-      static_cast<unsigned long long>(churn_loads),
-      static_cast<unsigned long long>(churn_evictions), churn_qps,
-      throughput_ratio, fair.tail_head_ratio,
-      churn_bounded ? "true" : "false");
-  if (hub != nullptr) {
-    // The snapshot is already JSON: splice it in as a raw value.
-    std::fprintf(f, ",\n  \"telemetry\": %s",
-                 obs::snapshot_json(*hub).dump(2).c_str());
-  }
-  std::fprintf(f, "\n}\n");
-  std::fclose(f);
-  std::printf("(json: %s)\n", out_path.c_str());
-  return 0;
+  const auto zipf_json = [](const ZipfResult& z) {
+    return bench::json_object({
+        {"queries_per_second", z.qps},
+        {"completed", z.completed},
+        {"sheds", z.sheds},
+        {"mean_batch_fill", z.mean_batch_fill},
+        {"head_p99_ms", z.head_p99_ms},
+        {"tail_p99_ms", z.tail_p99_ms},
+        {"tail_head_p99_ratio", z.tail_head_ratio},
+        {"head_shed_fraction", z.head_shed_fraction},
+        {"tail_shed_fraction", z.tail_shed_fraction},
+    });
+  };
+  obs::JsonValue doc = bench::json_object({
+      {"tenants", tenants_n},
+      {"queries_per_phase", total},
+      {"dim", dim},
+      {"classes", classes},
+      {"domains", domains},
+      {"producers", producers},
+      {"window", window},
+      {"shards", base_cfg.num_shards},
+      {"workers_per_shard", base_cfg.workers_per_shard},
+      {"max_batch", base_cfg.max_batch},
+      {"tenant_inflight_quota", quota},
+      {"zipf_s", 1.0},
+      {"hardware_threads", bench::hardware_threads()},
+      {"artifact_bytes", artifact.size()},
+      {"resident_bytes_per_model", per_model_bytes},
+      {"direct_packed_queries_per_second", direct_qps},
+      {"single_tenant_queries_per_second", single_qps},
+      {"cold_start_p50_ms", cold_p50_ms},
+      {"cold_start_p95_ms", cold_p95_ms},
+      {"warm_p50_ms", warm_p50_ms},
+      {"zipf_fair", zipf_json(fair)},
+      {"zipf_unfair", zipf_json(unfair)},
+      {"churn", bench::json_object({
+                    {"byte_budget", churn_budget},
+                    {"peak_resident_bytes", churn_peak},
+                    {"bounded_by_budget", churn_bounded},
+                    {"loads", churn_loads},
+                    {"evictions", churn_evictions},
+                    {"queries_per_second", churn_qps},
+                })},
+      {"acceptance", bench::json_object({
+                         {"throughput_ratio_vs_single_tenant",
+                          throughput_ratio},
+                         {"throughput_ratio_min", 0.8},
+                         {"tail_head_p99_ratio_fair", fair.tail_head_ratio},
+                         {"tail_head_p99_ratio_max", 3.0},
+                         {"churn_resident_bounded", churn_bounded},
+                     })},
+  });
+  if (hub != nullptr) doc.set("telemetry", obs::snapshot_json(*hub));
+  return bench::write_json(out_path, doc) ? 0 : 1;
 }

@@ -18,24 +18,18 @@
 // in the full arm is three histogram records, a sampled span, and no events
 // on the happy path — all O(1) against a d-dimensional predict.
 //
-// Scale note (same caveat as bench_common.hpp): one core here, so this
-// measures the compute-side overhead; on a multicore server the striped
-// histograms keep the cost flat as workers scale. Emits BENCH_telemetry.json.
+// Scale note (same caveat as bench_common.hpp): the defaults run one
+// batching worker, so this measures the compute-side overhead; with more
+// workers the striped histograms keep the cost flat. Emits
+// BENCH_telemetry.json.
 
 #include <algorithm>
 #include <cstdio>
-#include <deque>
-#include <future>
 #include <memory>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/pipeline.hpp"
-#include "eval/timer.hpp"
-#include "hdc/encoder.hpp"
 #include "hdc/hv_matrix.hpp"
 #include "obs/telemetry.hpp"
 #include "serve/registry.hpp"
@@ -45,32 +39,6 @@
 
 namespace {
 using namespace smore;
-
-/// Linearly separable encoded dataset (no encoder in the serving loop: the
-/// bench isolates scheduling + inference + telemetry, like bench_serving).
-HvDataset make_train(int classes, int domains, std::size_t per_cell,
-                     std::size_t dim, Rng& rng) {
-  std::vector<std::vector<float>> prototypes;
-  for (int c = 0; c < classes; ++c) {
-    std::vector<float> p(dim);
-    for (auto& x : p) x = rng.bipolar();
-    prototypes.push_back(std::move(p));
-  }
-  HvDataset data(dim);
-  std::vector<float> row(dim);
-  for (int d = 0; d < domains; ++d) {
-    for (int c = 0; c < classes; ++c) {
-      for (std::size_t i = 0; i < per_cell; ++i) {
-        for (std::size_t j = 0; j < dim; ++j) {
-          row[j] = prototypes[static_cast<std::size_t>(c)][j] +
-                   static_cast<float>(rng.normal(0.0, 0.5));
-        }
-        data.add(row, c, d);
-      }
-    }
-  }
-  return data;
-}
 
 struct ArmResult {
   double seconds = 0.0;
@@ -96,32 +64,14 @@ ArmResult run_arm(const obs::TelemetryConfig& tc,
     server.submit(t, {row.begin(), row.end()}).get();
   }
 
-  WallTimer timer;
-  std::vector<std::thread> threads;
-  threads.reserve(producers);
-  for (std::size_t p = 0; p < producers; ++p) {
-    threads.emplace_back([&, p] {
-      const std::size_t n = total / producers;
-      std::deque<std::future<ServeResult>> inflight;
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t idx = p * n + i;
-        const auto row = queries.row(idx % queries.rows());
-        inflight.push_back(
-            server.submit(tenants[idx % tenants.size()],
-                          {row.begin(), row.end()}));
-        if (inflight.size() >= window) {
-          inflight.front().get();
-          inflight.pop_front();
-        }
-      }
-      while (!inflight.empty()) {
-        inflight.front().get();
-        inflight.pop_front();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const double seconds = timer.seconds();
+  const double seconds =
+      bench::drive_closed_loop(total, producers, window, [&](std::size_t) {
+        return [&](std::size_t idx) -> bench::Submitted {
+          const auto row = queries.row(idx % queries.rows());
+          return server.submit(tenants[idx % tenants.size()],
+                               {row.begin(), row.end()});
+        };
+      }).seconds;
   server.shutdown();
 
   ArmResult r;
@@ -129,11 +79,6 @@ ArmResult run_arm(const obs::TelemetryConfig& tc,
   r.completed = server.stats().completed;
   r.qps = static_cast<double>(r.completed) / seconds;
   return r;
-}
-
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v.empty() ? 0.0 : v[v.size() / 2];
 }
 
 }  // namespace
@@ -183,41 +128,16 @@ int main(int argc, char** argv) {
       std::max<std::size_t>(1024, producers * window * 2);
 
   Rng rng(static_cast<std::uint64_t>(cli.get_int("seed")));
-  const HvDataset train = make_train(classes, domains, 20, dim, rng);
-  EncoderConfig ec;
-  ec.dim = dim;
-  Pipeline pipeline(std::make_shared<const MultiSensorEncoder>(ec),
-                    train.num_classes());
-  pipeline.fit_encoded(train);
-  pipeline.model().calibrate_delta_star(train, 0.05);
-  pipeline.quantize();
-  std::string artifact;
-  {
-    std::ostringstream buffer(std::ios::binary);
-    pipeline.save(buffer);
-    artifact = buffer.str();
-  }
+  const HvDataset train = bench::make_train(classes, domains, 20, dim, rng);
   const ModelRegistry::ArtifactOpener opener =
-      [artifact](const std::string&) {
-        std::istringstream in(artifact, std::ios::binary);
-        return ModelSnapshot::from_artifact(in, /*version=*/1);
-      };
+      bench::artifact_opener(bench::packed_artifact(train));
 
   std::vector<std::string> tenants;
   for (std::size_t t = 0; t < tenants_n; ++t) {
     tenants.push_back("t" + std::to_string(t));
   }
 
-  HvMatrix queries(1024, dim);
-  for (std::size_t i = 0; i < queries.rows(); ++i) {
-    if (i % 8 == 7) {
-      for (std::size_t j = 0; j < dim; ++j) {
-        queries.row(i)[j] = static_cast<float>(rng.normal());
-      }
-    } else {
-      queries.set_row(i, train.row(i % train.size()));
-    }
-  }
+  const HvMatrix queries = bench::make_queries(train, rng);
 
   obs::TelemetryConfig counters_only;
   counters_only.histograms = false;
@@ -243,8 +163,8 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   }
 
-  const double base_med = median(baseline_qps);
-  const double full_med = median(full_qps);
+  const double base_med = bench::median(baseline_qps);
+  const double full_med = bench::median(full_qps);
   const double overhead =
       base_med > 0.0 ? 1.0 - full_med / base_med : 0.0;
   const bool pass = overhead <= 0.02;
@@ -252,40 +172,23 @@ int main(int argc, char** argv) {
               "overhead %+.2f%%  (acceptance <= 2%%: %s)\n",
               base_med, full_med, 1e2 * overhead, pass ? "PASS" : "FAIL");
 
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"tenants\": %zu,\n"
-               "  \"queries_per_arm\": %zu,\n"
-               "  \"dim\": %zu,\n"
-               "  \"producers\": %zu,\n"
-               "  \"window\": %zu,\n"
-               "  \"repeats\": %zu,\n"
-               "  \"hardware_threads\": %u,\n"
-               "  \"counters_only_qps\": [",
-               tenants_n, total, dim, producers, window, repeats,
-               std::thread::hardware_concurrency());
-  for (std::size_t i = 0; i < baseline_qps.size(); ++i) {
-    std::fprintf(f, "%s%.1f", i ? ", " : "", baseline_qps[i]);
-  }
-  std::fprintf(f, "],\n  \"full_telemetry_qps\": [");
-  for (std::size_t i = 0; i < full_qps.size(); ++i) {
-    std::fprintf(f, "%s%.1f", i ? ", " : "", full_qps[i]);
-  }
-  std::fprintf(f,
-               "],\n"
-               "  \"median_counters_only_qps\": %.1f,\n"
-               "  \"median_full_telemetry_qps\": %.1f,\n"
-               "  \"overhead_fraction\": %.5f,\n"
-               "  \"acceptance\": {\"overhead_fraction_max\": 0.02, "
-               "\"pass\": %s}\n"
-               "}\n",
-               base_med, full_med, overhead, pass ? "true" : "false");
-  std::fclose(f);
-  std::printf("(json: %s)\n", out_path.c_str());
-  return 0;
+  const obs::JsonValue doc = bench::json_object({
+      {"tenants", tenants_n},
+      {"queries_per_arm", total},
+      {"dim", dim},
+      {"producers", producers},
+      {"window", window},
+      {"repeats", repeats},
+      {"hardware_threads", bench::hardware_threads()},
+      {"counters_only_qps", bench::json_array(baseline_qps)},
+      {"full_telemetry_qps", bench::json_array(full_qps)},
+      {"median_counters_only_qps", base_med},
+      {"median_full_telemetry_qps", full_med},
+      {"overhead_fraction", overhead},
+      {"acceptance", bench::json_object({
+                         {"overhead_fraction_max", 0.02},
+                         {"pass", pass},
+                     })},
+  });
+  return bench::write_json(out_path, doc) ? 0 : 1;
 }

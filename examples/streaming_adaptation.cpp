@@ -97,10 +97,12 @@ int main() {
   // Each phase streams `n` single-window requests through the server — raw
   // windows, encoded inside the micro-batches by the pipeline's encoder
   // (the per-request futures carry label + OOD verdict + snapshot version).
+  // Returns how many windows were flagged OOD (each one lands in the
+  // adaptation side buffer).
   auto run_phase = [&](const char* label, const WindowDataset& phase,
-                       std::size_t first, std::size_t n) {
+                       std::size_t first, std::size_t n) -> std::size_t {
     const std::size_t end = std::min(first + n, phase.size());
-    if (first >= end) return;
+    if (first >= end) return 0;
     std::vector<std::future<ServeResult>> futures;
     futures.reserve(end - first);
     for (std::size_t i = first; i < end; ++i) {
@@ -122,6 +124,7 @@ int main() {
                 100.0 * static_cast<double>(flagged) / total,
                 static_cast<unsigned long long>(version),
                 model->snapshot()->model->num_domains());
+    return flagged;
   };
 
   const std::size_t probe = 120;
@@ -165,12 +168,16 @@ int main() {
   outsider2_spec.seed = spec.seed + 101;
   const WindowDataset outsider2 =
       examples::lodo_windows(generate_dataset(outsider2_spec), 4).test;
-  run_phase("a SECOND stranger:", outsider2, 0, probe);
-  const auto recurring_deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (server.stats().adaptation_rounds == mid.adaptation_rounds &&
-         std::chrono::steady_clock::now() < recurring_deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  // A round needs adapt_min_batch flagged windows; when the stranger
+  // flagged fewer, no round can come, so there is nothing to wait for.
+  if (run_phase("a SECOND stranger:", outsider2, 0, probe) >=
+      cfg.adapt_min_batch) {
+    const auto recurring_deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (server.stats().adaptation_rounds == mid.adaptation_rounds &&
+           std::chrono::steady_clock::now() < recurring_deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
   }
   const std::size_t bank_before_return =
       model->snapshot()->model->num_domains();

@@ -381,7 +381,6 @@ void MultiTenantServer::process_batch(std::vector<Request>& batch,
     }
     const std::vector<int>& ids = snap->model->descriptors().domain_ids();
     std::size_t overflow = 0;
-    bool ready = false;
     {
       const MutexLock lock(slot.adapt_m);
       for (std::size_t p = 0; p < k && p < ids.size(); ++p) {
@@ -396,7 +395,6 @@ void MultiTenantServer::process_batch(std::vector<Request>& batch,
         slot.ood_buffer.push_back(
             OodSample{std::move(batch[i].hv), result.labels[i]});
       }
-      ready = slot.ood_buffer.size() >= config_.adapt_min_batch;
     }
     if (overflow != 0) {
       slot.tel.adapt_overflow->add(overflow);
@@ -407,7 +405,6 @@ void MultiTenantServer::process_batch(std::vector<Request>& batch,
                        "buffer-overflow",
                        static_cast<std::int64_t>(overflow));
     }
-    if (ready) adapt_cv_.notify_one();
   }
   const auto now = std::chrono::steady_clock::now();
 
@@ -506,18 +503,7 @@ MultiTenantServer::all_slots() const {
 void MultiTenantServer::adaptation_loop() {
   const std::chrono::milliseconds poll(
       std::max<std::uint32_t>(1, config_.adapt_poll_ms));
-  for (;;) {
-    {
-      const MutexLock lock(adapt_wake_m_);
-      const auto deadline = std::chrono::steady_clock::now() + poll;
-      while (!adapt_stopping_) {
-        if (adapt_cv_.wait_until(adapt_wake_m_, deadline) ==
-            std::cv_status::timeout) {
-          break;
-        }
-      }
-      if (adapt_stopping_) break;
-    }
+  while (!sleep_or_stop(poll)) {
     // Sweep every tenant with a ready round. One worker for the fleet: a
     // round is a clone + a few kernel calls over at most
     // adapt_buffer_capacity rows, and serialization across tenants keeps
@@ -556,20 +542,20 @@ void MultiTenantServer::adaptation_loop() {
 
 void MultiTenantServer::export_loop() {
   const std::chrono::milliseconds interval(config_.export_interval_ms);
-  for (;;) {
-    {
-      const MutexLock lock(export_m_);
-      const auto deadline = std::chrono::steady_clock::now() + interval;
-      while (!export_stopping_) {
-        if (export_cv_.wait_until(export_m_, deadline) ==
-            std::cv_status::timeout) {
-          break;
-        }
-      }
-      if (export_stopping_) return;  // shutdown writes the final snapshot
+  // On stop, shutdown() writes the final snapshot.
+  while (!sleep_or_stop(interval)) write_telemetry(config_.export_path);
+}
+
+bool MultiTenantServer::sleep_or_stop(std::chrono::milliseconds interval) {
+  const MutexLock lock(background_m_);
+  const auto deadline = std::chrono::steady_clock::now() + interval;
+  while (!background_stopping_) {
+    if (background_cv_.wait_until(background_m_, deadline) ==
+        std::cv_status::timeout) {
+      break;
     }
-    write_telemetry(config_.export_path);
   }
+  return background_stopping_;
 }
 
 bool MultiTenantServer::write_telemetry(const std::string& path) const {
@@ -656,20 +642,13 @@ void MultiTenantServer::shutdown() {
     shut_down_.store(true, std::memory_order_release);
     for (auto& shard : shards_) shard->queue.close();
     for (auto& w : workers_) w.join();
-    if (adaptation_thread_.joinable()) {
-      {
-        const MutexLock lock(adapt_wake_m_);
-        adapt_stopping_ = true;
-      }
-      adapt_cv_.notify_all();
-      adaptation_thread_.join();
+    {
+      const MutexLock lock(background_m_);
+      background_stopping_ = true;
     }
+    background_cv_.notify_all();
+    if (adaptation_thread_.joinable()) adaptation_thread_.join();
     if (export_thread_.joinable()) {
-      {
-        const MutexLock lock(export_m_);
-        export_stopping_ = true;
-      }
-      export_cv_.notify_all();
       export_thread_.join();
       // Final snapshot AFTER all workers drained: the exported file's last
       // generation carries the complete counters.

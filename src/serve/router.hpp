@@ -111,7 +111,9 @@ struct MultiTenantConfig {
   bool adaptation = false;
   std::size_t adapt_min_batch = 64;         ///< OOD windows per tenant round
   std::size_t adapt_buffer_capacity = 512;  ///< per-tenant side-buffer bound
-  std::uint32_t adapt_poll_ms = 2;          ///< adaptation sweep cadence
+  /// Adaptation sweep cadence. Rounds start on this tick: a side buffer
+  /// reaching adapt_min_batch waits for the next sweep, never wakes it early.
+  std::uint32_t adapt_poll_ms = 2;
   LifecycleConfig lifecycle_config;         ///< bounded lifecycle knobs
 
   /// Telemetry hub (DESIGN.md §14): every fleet counter/histogram lives in
@@ -294,6 +296,9 @@ class MultiTenantServer {
   void adaptation_loop();
   /// Periodic JSON snapshot writer (spawned when export_path is set).
   void export_loop();
+  /// The background threads' shared wait: sleep `interval` or until
+  /// shutdown() stops them; true when stopping.
+  bool sleep_or_stop(std::chrono::milliseconds interval);
   /// One tenant's lifecycle round: clone → adapt → republish its generation.
   void run_tenant_round(TenantSlot& slot, std::vector<OodSample> round,
                         std::span<const std::pair<int, double>> usage);
@@ -305,9 +310,11 @@ class MultiTenantServer {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::thread> workers_;
   std::thread adaptation_thread_;
-  Mutex adapt_wake_m_;
-  CondVar adapt_cv_;
-  bool adapt_stopping_ SMORE_GUARDED_BY(adapt_wake_m_) = false;
+  std::thread export_thread_;  // export_path only
+  // One stop signal for both background threads.
+  Mutex background_m_;
+  CondVar background_cv_;
+  bool background_stopping_ SMORE_GUARDED_BY(background_m_) = false;
 
   // Tenant slots: sharded string → slot map, insert-only.
   static constexpr std::size_t kSlotShards = 16;
@@ -322,12 +329,6 @@ class MultiTenantServer {
   // series); stats() reads the same handles the hot path bumps.
   std::unique_ptr<ServeTelemetry> tel_;
   obs::Counter* tenants_seen_ = nullptr;  // slots ever created
-
-  // Periodic exporter (export_path only).
-  std::thread export_thread_;
-  Mutex export_m_;
-  CondVar export_cv_;
-  bool export_stopping_ SMORE_GUARDED_BY(export_m_) = false;
 
   std::atomic<bool> shut_down_{false};
   std::once_flag shutdown_once_;

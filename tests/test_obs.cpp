@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <future>
 #include <memory>
 #include <sstream>
@@ -261,6 +262,59 @@ TEST(JsonExport, RoundTripsThroughParse) {
   const std::optional<JsonValue> again = JsonValue::parse(doc->dump(2));
   ASSERT_TRUE(again.has_value());
   EXPECT_EQ(again->at("metrics").size(), doc->at("metrics").size());
+}
+
+// The BENCH_*.json writers build their documents through this DOM: JSON has
+// no NaN/inf, and consumers diff the files by key order.
+TEST(JsonValue, NonFiniteIsNullAndBenchShapedDocRoundTripsInOrder) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  JsonValue odd = JsonValue::array();
+  odd.push_back(std::numeric_limits<double>::quiet_NaN());
+  odd.push_back(kInf);
+  odd.push_back(-kInf);
+  EXPECT_EQ(odd.dump(), "[null,null,null]");
+
+  JsonValue doc = JsonValue::object();
+  doc.set("queries", std::uint64_t{2000});
+  doc.set("label", "float \"batch=64\" delay=200");
+  doc.set("speedup", 1.375);
+  JsonValue configs = JsonValue::array();
+  for (int i = 0; i < 3; ++i) {
+    JsonValue row = JsonValue::object();
+    row.set("max_batch", i * 32);
+    row.set("p99_ms", 0.25 * i);
+    row.set("pass", i != 1);
+    configs.push_back(std::move(row));
+  }
+  doc.set("configs", std::move(configs));
+  doc.set("acceptance_pass", JsonValue());
+
+  std::string error;
+  const std::optional<JsonValue> back = JsonValue::parse(doc.dump(2), &error);
+  ASSERT_TRUE(back.has_value()) << error;
+  const std::vector<std::string> keys{"queries", "label", "speedup",
+                                      "configs", "acceptance_pass"};
+  ASSERT_EQ(back->members().size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(back->members()[i].first, keys[i]);
+  }
+  EXPECT_DOUBLE_EQ(back->at("queries").as_double(), 2000.0);
+  EXPECT_EQ(back->at("label").as_string(), "float \"batch=64\" delay=200");
+  EXPECT_DOUBLE_EQ(back->at("speedup").as_double(), 1.375);
+  EXPECT_TRUE(back->at("acceptance_pass").is_null());
+  const JsonValue& rows = back->at("configs");
+  ASSERT_EQ(rows.size(), 3u);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const JsonValue& row = rows.at(i);
+    ASSERT_EQ(row.members().size(), 3u);
+    EXPECT_EQ(row.members()[0].first, "max_batch");
+    EXPECT_EQ(row.members()[1].first, "p99_ms");
+    EXPECT_EQ(row.members()[2].first, "pass");
+    EXPECT_DOUBLE_EQ(row.at("max_batch").as_double(), 32.0 * i);
+    EXPECT_DOUBLE_EQ(row.at("p99_ms").as_double(), 0.25 * i);
+    EXPECT_EQ(row.at("pass").as_bool(), i != 1);
+  }
+  EXPECT_EQ(back->dump(2), doc.dump(2));
 }
 
 // ------------------------------------------------------------------- trace

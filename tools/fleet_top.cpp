@@ -4,7 +4,7 @@
 // The serving stack has no HTTP endpoint by design; its export transport is
 // a JSON file written atomically (MultiTenantConfig::export_path, or any
 // call to write_telemetry / obs::snapshot_json_text). This tool tails that
-// file and renders the fleet dashboard: plane counters, a per-tenant table,
+// file and renders the fleet dashboard: fleet counters, a per-tenant table,
 // the slowest-request spans, and the recent event log.
 //
 //   ./build/tool_fleet_top --file=telemetry.json            # watch (1 Hz)
@@ -42,31 +42,12 @@ namespace {
 using namespace smore;
 using obs::JsonValue;
 
-/// Counter/gauge value of the metric matching `name` and every (k,v) label
-/// filter; 0 when absent.
-double metric_value(const JsonValue& doc, std::string_view name,
-                    const std::vector<std::pair<std::string, std::string>>&
-                        label_filter = {}) {
-  for (const JsonValue& m : doc.at("metrics").items()) {
-    if (m.at("name").as_string() != name) continue;
-    bool match = true;
-    for (const auto& [k, v] : label_filter) {
-      if (m.at("labels").at(k).as_string() != v) {
-        match = false;
-        break;
-      }
-    }
-    if (match) return m.at("value").as_double();
-  }
-  return 0.0;
-}
+using LabelFilter = std::vector<std::pair<std::string, std::string>>;
 
-/// The histogram metric matching name+labels (for p50/p99 keys); null when
+/// The metric matching `name` and every (k,v) label filter; null when
 /// absent.
-const JsonValue* metric_hist(const JsonValue& doc, std::string_view name,
-                             const std::vector<std::pair<std::string,
-                                                         std::string>>&
-                                 label_filter) {
+const JsonValue* find_metric(const JsonValue& doc, std::string_view name,
+                             const LabelFilter& label_filter = {}) {
   for (const JsonValue& m : doc.at("metrics").items()) {
     if (m.at("name").as_string() != name) continue;
     bool match = true;
@@ -79,6 +60,13 @@ const JsonValue* metric_hist(const JsonValue& doc, std::string_view name,
     if (match) return &m;
   }
   return nullptr;
+}
+
+/// Counter/gauge value of the metric matching name+labels; 0 when absent.
+double metric_value(const JsonValue& doc, std::string_view name,
+                    const LabelFilter& label_filter = {}) {
+  const JsonValue* m = find_metric(doc, name, label_filter);
+  return m != nullptr ? m->at("value").as_double() : 0.0;
 }
 
 /// Sum across all series of one family that carry label `key` == `value`.
@@ -97,45 +85,28 @@ void render(const JsonValue& doc, const std::string& source,
             std::size_t slowest_rows, std::size_t event_rows) {
   std::printf("SMORE fleet telemetry — %s  (%s)\n",
               doc.at("schema").as_string().c_str(), source.c_str());
-  std::printf("observed requests: %.0f    events emitted: %.0f\n\n",
+  // The serving plane's {plane="fleet"} series.
+  const LabelFilter fleet{{"plane", "fleet"}};
+  const double batches = metric_value(doc, "smore_batches_total", fleet);
+  const double rows = metric_value(doc, "smore_batched_rows_total", fleet);
+  const JsonValue* fleet_lat =
+      find_metric(doc, "smore_request_latency_seconds", fleet);
+  const JsonValue* tier = find_metric(doc, "smore_kernel_tier_info", fleet);
+  std::printf("observed requests: %.0f    events emitted: %.0f\n",
               doc.at("observed_requests").as_double(),
               doc.at("events_emitted").as_double());
-
-  // Plane table: one row per distinct {plane=...} of the submitted counter.
-  std::vector<std::string> planes;
-  for (const JsonValue& m : doc.at("metrics").items()) {
-    if (m.at("name").as_string() != "smore_requests_submitted_total") continue;
-    planes.push_back(m.at("labels").at("plane").as_string());
-  }
-  std::printf("%-8s %10s %10s %9s %8s %6s %9s %9s %9s\n", "PLANE", "submit",
-              "complete", "rejected", "batches", "fill", "p50 ms", "p99 ms",
-              "tier");
-  for (const std::string& plane : planes) {
-    const std::vector<std::pair<std::string, std::string>> l{{"plane", plane}};
-    const double submitted =
-        metric_value(doc, "smore_requests_submitted_total", l);
-    const double completed =
-        metric_value(doc, "smore_requests_completed_total", l);
-    const double rejected =
-        metric_value(doc, "smore_requests_rejected_total", l);
-    const double batches = metric_value(doc, "smore_batches_total", l);
-    const double rows = metric_value(doc, "smore_batched_rows_total", l);
-    const JsonValue* lat =
-        metric_hist(doc, "smore_request_latency_seconds", l);
-    std::string tier = "-";
-    for (const JsonValue& m : doc.at("metrics").items()) {
-      if (m.at("name").as_string() == "smore_kernel_tier_info" &&
-          m.at("labels").at("plane").as_string() == plane) {
-        tier = m.at("labels").at("tier").as_string();
-      }
-    }
-    std::printf("%-8s %10.0f %10.0f %9.0f %8.0f %6.1f %9.3f %9.3f %9s\n",
-                plane.c_str(), submitted, completed, rejected, batches,
-                batches > 0 ? rows / batches : 0.0,
-                lat != nullptr ? lat->at("p50").as_double() * 1e3 : 0.0,
-                lat != nullptr ? lat->at("p99").as_double() * 1e3 : 0.0,
-                tier.c_str());
-  }
+  std::printf("fleet: submit %.0f  complete %.0f  rejected %.0f  batches "
+              "%.0f  fill %.1f  p50 %.3f ms  p99 %.3f ms  tier %s\n",
+              metric_value(doc, "smore_requests_submitted_total", fleet),
+              metric_value(doc, "smore_requests_completed_total", fleet),
+              metric_value(doc, "smore_requests_rejected_total", fleet),
+              batches, batches > 0 ? rows / batches : 0.0,
+              fleet_lat != nullptr ? fleet_lat->at("p50").as_double() * 1e3
+                                   : 0.0,
+              fleet_lat != nullptr ? fleet_lat->at("p99").as_double() * 1e3
+                                   : 0.0,
+              tier != nullptr ? tier->at("labels").at("tier").as_string().c_str()
+                              : "-");
 
   // Tenant table: one row per distinct {tenant=...} of the tenant submitted
   // counter, sorted (std::map) so the render is stable frame to frame.
@@ -150,10 +121,9 @@ void render(const JsonValue& doc, const std::string& source,
                 "p50 ms", "p99 ms");
     for (const auto& [tenant, unused] : tenants) {
       (void)unused;
-      const std::vector<std::pair<std::string, std::string>> l{
-          {"tenant", tenant}};
+      const LabelFilter l{{"tenant", tenant}};
       const JsonValue* lat =
-          metric_hist(doc, "smore_tenant_latency_seconds", l);
+          find_metric(doc, "smore_tenant_latency_seconds", l);
       std::printf(
           "%-12s %9.0f %9.0f %7.0f %7.0f %7.0f %7.0f %9.3f %9.3f\n",
           tenant.c_str(),
