@@ -396,7 +396,8 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(cli.get_int("max-domains"));
   std::size_t adapt_min_batch =
       static_cast<std::size_t>(cli.get_int("adapt-min-batch"));
-  if (cli.get_bool("smoke")) {
+  const bool smoke = cli.get_bool("smoke");
+  if (smoke) {
     p.cycles = 2;
     p.window_queries = 60;
     dim = 256;
@@ -456,17 +457,27 @@ int main(int argc, char** argv) {
       u_p99_ratio > b_p99_ratio && (!rss_supported || u_rss_ratio > 1.1);
   const bool pass_accuracy = acc_gap >= -0.03;
 
+  // A 2-cycle smoke stream is too short for the baseline to outgrow the cap,
+  // and how many rounds land in it is timing dependent, so its trend and
+  // accuracy verdicts carry no signal: they print as n/a and serialize as
+  // null. The cap holds at any stream length and stays a verdict.
+  const auto verdict = [smoke](bool pass) {
+    return smoke ? "n/a (smoke)" : pass ? "PASS" : "FAIL";
+  };
+  const auto trend_json = [smoke](bool pass) {
+    return smoke ? obs::JsonValue() : obs::JsonValue(pass);
+  };
+
   std::printf(
       "[accept] cap<=%zu: %s (saw %zu) | bounded p99 late/early %.2f "
       "(<=1.2: %s) | bounded rss late/early %.2f (<=1.1: %s) | unbounded "
       "grows (K %zu, p99 %.2fx, rss %.2fx): %s | recurring acc bounded %.3f "
       "vs unbounded %.3f (gap %+.3f >= -0.03: %s)\n",
       max_domains, pass_cap ? "PASS" : "FAIL", bounded.max_domains_seen,
-      b_p99_ratio, pass_flat_p99 ? "PASS" : "FAIL", b_rss_ratio,
-      pass_flat_rss ? "PASS" : "FAIL", unbounded.max_domains_seen,
-      u_p99_ratio, u_rss_ratio, baseline_grows ? "PASS" : "FAIL",
-      bounded.recurring_accuracy, unbounded.recurring_accuracy, acc_gap,
-      pass_accuracy ? "PASS" : "FAIL");
+      b_p99_ratio, verdict(pass_flat_p99), b_rss_ratio, verdict(pass_flat_rss),
+      unbounded.max_domains_seen, u_p99_ratio, u_rss_ratio,
+      verdict(baseline_grows), bounded.recurring_accuracy,
+      unbounded.recurring_accuracy, acc_gap, verdict(pass_accuracy));
 
   const obs::JsonValue doc = bench::json_object({
       {"cycles", p.cycles},
@@ -482,10 +493,11 @@ int main(int argc, char** argv) {
       {"unbounded", run_json(unbounded, u_p99_ratio, u_rss_ratio, false)},
       {"accept", bench::json_object({
                      {"bounded_bank_capped", pass_cap},
-                     {"bounded_flat_p99", pass_flat_p99},
-                     {"bounded_flat_rss", pass_flat_rss},
-                     {"unbounded_baseline_grows", baseline_grows},
-                     {"recurring_accuracy_within_003", pass_accuracy},
+                     {"bounded_flat_p99", trend_json(pass_flat_p99)},
+                     {"bounded_flat_rss", trend_json(pass_flat_rss)},
+                     {"unbounded_baseline_grows", trend_json(baseline_grows)},
+                     {"recurring_accuracy_within_003",
+                      trend_json(pass_accuracy)},
                  })},
   });
   return bench::write_json(out_path, doc) ? 0 : 1;

@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
   std::vector<BinaryVector> class_bits;
   class_bits.reserve(nc);
   for (std::size_t c = 0; c < nc; ++c) {
-    class_bits.emplace_back(model.class_vector(static_cast<int>(c)).span());
+    class_bits.emplace_back(model.class_vector(static_cast<int>(c)));
   }
   std::vector<int> scalar_labels(nq);
   const double scalar_s = bench::best_seconds(repeats, [&] {
@@ -152,7 +152,7 @@ int main(int argc, char** argv) {
   // --- float backend on the same problem ----------------------------------
   HvMatrix float_classes(nc, dim);
   for (std::size_t c = 0; c < nc; ++c) {
-    float_classes.set_row(c, model.class_vector(static_cast<int>(c)).span());
+    float_classes.set_row(c, model.class_vector(static_cast<int>(c)));
   }
   std::vector<double> float_sims(nq * nc);
   const double float_1t_s = bench::best_seconds(repeats, [&] {

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "hdc/ops_binary.hpp"
+#include "util/serial.hpp"
 
 namespace smore {
 
@@ -232,25 +233,20 @@ BinarySmoreModel BinarySmoreModel::load(std::istream& in) {
   in.read(reinterpret_cast<char*>(&delta), sizeof(delta));
   in.read(reinterpret_cast<char*>(&mode), sizeof(mode));
   in.read(reinterpret_cast<char*>(&domains), sizeof(domains));
-  // Reject absurd header values before any allocation is sized from them:
-  // a corrupt (not merely truncated) stream must throw, not OOM. The caps
-  // are far above anything the library produces (d ≤ 2^24, K ≤ 2^20).
-  constexpr std::uint64_t kMaxDim = 1u << 24;
-  constexpr std::uint64_t kMaxDomains = 1u << 20;
-  constexpr std::int32_t kMaxClasses = 1 << 20;
-  if (!in || classes <= 0 || classes > kMaxClasses || dim == 0 ||
-      dim > kMaxDim || domains > kMaxDomains || delta < -1.0 || delta > 1.0 ||
-      mode < 0 || mode > static_cast<std::int32_t>(WeightMode::kTopOne)) {
-    throw std::runtime_error("BinarySmoreModel::load: corrupt header");
-  }
-  // Per-field caps alone still admit a huge product (2^20 domains of 2^24
-  // bits ≈ 2 TB); bound the total packed payload the header implies. 1 GiB
-  // is orders of magnitude above any model this library produces.
-  constexpr std::uint64_t kMaxTotalBytes = 1ull << 30;
+  // Reject absurd header values before any allocation is sized from them
+  // (util/serial.hpp caps): a corrupt (not merely truncated) stream must
+  // throw, not OOM. Per-field caps alone still admit a huge product (2^20
+  // domains of 2^24 bits ≈ 2 TB), so the packed payload the header implies
+  // is bounded too.
   const std::uint64_t words = BitMatrix::words_for(dim);
-  const std::uint64_t total_rows =
-      domains * (1 + static_cast<std::uint64_t>(classes));
-  if (total_rows * words * sizeof(std::uint64_t) > kMaxTotalBytes) {
+  if (!in || classes <= 0 ||
+      static_cast<std::uint64_t>(classes) > serial::kMaxClasses || dim == 0 ||
+      dim > serial::kMaxDim || domains > serial::kMaxDomains || delta < -1.0 ||
+      delta > 1.0 || mode < 0 ||
+      mode > static_cast<std::int32_t>(WeightMode::kTopOne) ||
+      !serial::within_model_bytes(
+          domains * (1 + static_cast<std::uint64_t>(classes)),
+          words * sizeof(std::uint64_t))) {
     throw std::runtime_error("BinarySmoreModel::load: corrupt header");
   }
   BinarySmoreModel model;

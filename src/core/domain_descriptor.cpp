@@ -5,6 +5,8 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "util/serial.hpp"
+
 namespace smore {
 
 namespace {
@@ -16,12 +18,7 @@ DomainDescriptorBank::DomainDescriptorBank(const HvDataset& train) {
   if (train.empty()) {
     throw std::invalid_argument("DomainDescriptorBank: empty training set");
   }
-  for (std::size_t i = 0; i < train.size(); ++i) {
-    absorb(train.row(i), train.domain(i));
-  }
-  // Warm the batch-path cache so a freshly built bank can serve concurrent
-  // const similarity queries without a lazy rebuild race.
-  (void)packed();
+  absorb(train.view(), train.domains());
 }
 
 std::vector<double> DomainDescriptorBank::similarities(
@@ -33,17 +30,6 @@ std::vector<double> DomainDescriptorBank::similarities(
   return similarities_batch(HvView(query));
 }
 
-const HvMatrix& DomainDescriptorBank::packed() const {
-  if (packed_stale_) {
-    packed_ = HvMatrix::pack(descriptors_);
-    packed_norms_sq_.resize(descriptors_.size());
-    ops::nrm2_sq_rows(packed_.data(), packed_.rows(), packed_.dim(),
-                      packed_norms_sq_.data());
-    packed_stale_ = false;
-  }
-  return packed_;
-}
-
 std::vector<double> DomainDescriptorBank::similarities_batch(
     HvView queries) const {
   if (queries.rows == 0 || empty()) return {};
@@ -51,10 +37,9 @@ std::vector<double> DomainDescriptorBank::similarities_batch(
     throw std::invalid_argument(
         "DomainDescriptorBank::similarities: dimension mismatch");
   }
-  const HvMatrix& u = packed();
-  std::vector<double> sims(queries.rows * u.rows());
-  ops::similarity_matrix(queries.data, queries.rows, u.data(), u.rows(),
-                         u.dim(), sims.data(), packed_norms_sq_.data());
+  std::vector<double> sims(queries.rows * size());
+  ops::similarity_matrix(queries.data, queries.rows, descriptors_.data(),
+                         size(), dim(), sims.data(), norms_sq_.data());
   return sims;
 }
 
@@ -68,7 +53,9 @@ std::size_t DomainDescriptorBank::locate_or_create(int domain_id,
   const auto k = static_cast<std::size_t>(pos - ids_.begin());
   const auto off = static_cast<std::ptrdiff_t>(k);
   ids_.insert(pos, domain_id);
-  descriptors_.insert(descriptors_.begin() + off, Hypervector(dim));
+  if (descriptors_.empty()) descriptors_ = HvMatrix(0, dim);
+  descriptors_.insert_row(k);
+  norms_sq_.insert(norms_sq_.begin() + off, 0.0);
   accum_.insert(accum_.begin() + off, WideAccumulator(dim));
   counts_.insert(counts_.begin() + off, 0);
   DomainMeta meta;
@@ -79,47 +66,58 @@ std::size_t DomainDescriptorBank::locate_or_create(int domain_id,
   return k;
 }
 
-void DomainDescriptorBank::absorb(std::span<const float> hv, int domain_id) {
-  const std::size_t k = locate_or_create(domain_id, hv.size());
-  Hypervector& u = descriptors_[k];
-  if (u.dim() != hv.size()) {
+void DomainDescriptorBank::refresh(std::size_t k) {
+  accum_[k].materialize(descriptors_.row(k).data());
+  ops::nrm2_sq_rows(descriptors_.row(k).data(), 1, dim(), &norms_sq_[k]);
+}
+
+void DomainDescriptorBank::absorb(HvView rows,
+                                  std::span<const int> domain_ids) {
+  if (rows.rows != domain_ids.size()) {
+    throw std::invalid_argument(
+        "DomainDescriptorBank::absorb: row/id count mismatch");
+  }
+  if (rows.empty()) return;
+  if (!empty() && rows.dim != dim()) {
     throw std::invalid_argument("DomainDescriptorBank::absorb: dim mismatch");
   }
-  accum_[k].axpy(1.0, hv);
-  accum_[k].materialize(u.data());
-  ++counts_[k];
-  packed_stale_ = true;
+  // Create every new descriptor first, so positions are final before any
+  // row lands.
+  for (const int id : domain_ids) (void)locate_or_create(id, rows.dim);
+  std::vector<bool> touched(size(), false);
+  for (std::size_t i = 0; i < rows.rows; ++i) {
+    const std::size_t k = locate_or_create(domain_ids[i], rows.dim);
+    accum_[k].axpy(1.0, rows.row(i));
+    ++counts_[k];
+    touched[k] = true;
+  }
+  for (std::size_t k = 0; k < size(); ++k) {
+    if (touched[k]) refresh(k);
+  }
 }
 
-void DomainDescriptorBank::absorb_batch(HvView block, int domain_id) {
-  if (block.empty()) return;
-  const std::size_t k = locate_or_create(domain_id, block.dim);
-  Hypervector& u = descriptors_[k];
-  if (u.dim() != block.dim) {
-    throw std::invalid_argument(
-        "DomainDescriptorBank::absorb_batch: dim mismatch");
+void DomainDescriptorBank::remove(std::span<const std::size_t> positions) {
+  std::vector<bool> drop(size(), false);
+  for (const std::size_t k : positions) {
+    if (k >= size()) {
+      throw std::out_of_range("DomainDescriptorBank::remove: bad position");
+    }
+    if (drop[k]) {
+      throw std::invalid_argument(
+          "DomainDescriptorBank::remove: repeated position");
+    }
+    drop[k] = true;
   }
-  // Accumulate every row into the double master, materialize the float
-  // mirror once for the whole block.
-  for (std::size_t i = 0; i < block.rows; ++i) {
-    accum_[k].axpy(1.0, block.row(i));
+  for (std::size_t k = size(); k-- > 0;) {
+    if (!drop[k]) continue;
+    const auto off = static_cast<std::ptrdiff_t>(k);
+    descriptors_.erase_row(k);
+    norms_sq_.erase(norms_sq_.begin() + off);
+    accum_.erase(accum_.begin() + off);
+    ids_.erase(ids_.begin() + off);
+    counts_.erase(counts_.begin() + off);
+    meta_.erase(meta_.begin() + off);
   }
-  accum_[k].materialize(u.data());
-  counts_[k] += block.rows;
-  packed_stale_ = true;
-}
-
-void DomainDescriptorBank::remove(std::size_t k) {
-  if (k >= descriptors_.size()) {
-    throw std::out_of_range("DomainDescriptorBank::remove: bad position");
-  }
-  const auto off = static_cast<std::ptrdiff_t>(k);
-  descriptors_.erase(descriptors_.begin() + off);
-  accum_.erase(accum_.begin() + off);
-  ids_.erase(ids_.begin() + off);
-  counts_.erase(counts_.begin() + off);
-  meta_.erase(meta_.begin() + off);
-  packed_stale_ = true;
 }
 
 void DomainDescriptorBank::note_usage(int domain_id, double amount) {
@@ -143,14 +141,14 @@ void DomainDescriptorBank::decay_usage(double factor) {
 void DomainDescriptorBank::save(std::ostream& out) const {
   out.write(reinterpret_cast<const char*>(&kBankMagic), sizeof(kBankMagic));
   out.write(reinterpret_cast<const char*>(&kBankVersion), sizeof(kBankVersion));
-  const std::uint64_t k = descriptors_.size();
+  const std::uint64_t k = size();
   const std::uint64_t d = dim();
   const std::int32_t next_id = next_id_;
   out.write(reinterpret_cast<const char*>(&k), sizeof(k));
   out.write(reinterpret_cast<const char*>(&d), sizeof(d));
   out.write(reinterpret_cast<const char*>(&clock_), sizeof(clock_));
   out.write(reinterpret_cast<const char*>(&next_id), sizeof(next_id));
-  for (std::size_t i = 0; i < descriptors_.size(); ++i) {
+  for (std::size_t i = 0; i < size(); ++i) {
     const std::int32_t id = ids_[i];
     const std::uint64_t count = counts_[i];
     const DomainMeta& m = meta_[i];
@@ -169,7 +167,9 @@ void DomainDescriptorBank::save(std::ostream& out) const {
   }
 }
 
-DomainDescriptorBank DomainDescriptorBank::load(std::istream& in) {
+DomainDescriptorBank DomainDescriptorBank::load(std::istream& in,
+                                                std::size_t expect_domains,
+                                                std::size_t expect_dim) {
   std::uint32_t magic = 0;
   std::uint32_t version = 0;
   in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
@@ -186,12 +186,21 @@ DomainDescriptorBank DomainDescriptorBank::load(std::istream& in) {
   in.read(reinterpret_cast<char*>(&d), sizeof(d));
   in.read(reinterpret_cast<char*>(&clock), sizeof(clock));
   in.read(reinterpret_cast<char*>(&next_id), sizeof(next_id));
-  if (!in || (k > 0 && d == 0)) {
+  // Validate before allocating: every record holds a double master plus a
+  // float mirror row, so a corrupt header must throw, not OOM.
+  if (!in || (k > 0 && d == 0) || d > serial::kMaxDim ||
+      k > serial::kMaxDomains ||
+      !serial::within_model_bytes(k, d * (sizeof(float) + sizeof(double))) ||
+      (expect_domains != 0 && k != expect_domains) ||
+      (expect_dim != 0 && d != expect_dim)) {
     throw std::runtime_error("DomainDescriptorBank::load: corrupt header");
   }
   DomainDescriptorBank bank;
   bank.clock_ = clock;
   bank.next_id_ = next_id;
+  bank.descriptors_ =
+      HvMatrix(static_cast<std::size_t>(k), static_cast<std::size_t>(d));
+  bank.norms_sq_.assign(static_cast<std::size_t>(k), 0.0);
   for (std::uint64_t i = 0; i < k; ++i) {
     std::int32_t id = 0;
     std::uint64_t count = 0;
@@ -211,16 +220,13 @@ DomainDescriptorBank DomainDescriptorBank::load(std::istream& in) {
     if (!in) {
       throw std::runtime_error("DomainDescriptorBank::load: truncated payload");
     }
-    Hypervector hv(static_cast<std::size_t>(d));
-    acc.materialize(hv.data());
     bank.ids_.push_back(id);
     bank.counts_.push_back(static_cast<std::size_t>(count));
     bank.meta_.push_back(meta);
     bank.accum_.push_back(std::move(acc));
-    bank.descriptors_.push_back(std::move(hv));
+    bank.refresh(static_cast<std::size_t>(i));
     if (id >= bank.next_id_) bank.next_id_ = id + 1;
   }
-  (void)bank.packed();  // warm the batch cache (see the HvDataset ctor)
   return bank;
 }
 

@@ -12,7 +12,9 @@
 // wide-counter accumulator (hdc/wide_counter.hpp) — double-precision master,
 // float mirror for the similarity kernels — so repeated bundling stays exact
 // instead of saturating float accumulation, plus per-domain lifecycle
-// metadata (usage, rounds, merges) that the eviction policy scores.
+// metadata (usage, rounds, merges) that the eviction policy scores. The
+// float mirrors form one [K × dim] HvMatrix, the block the similarity kernel
+// reads, with squared norms refreshed whenever a row is rewritten.
 
 #include <cstddef>
 #include <cstdint>
@@ -40,11 +42,9 @@ struct DomainMeta {
 /// The bank of K domain descriptors, built during training and mutated by
 /// the adaptation lifecycle (absorb/merge/remove).
 ///
-/// Concurrency: const similarity queries are safe from multiple threads on a
-/// bank produced by the HvDataset constructor or load() (the packed batch
-/// cache is warmed there). Mutations (absorb/remove/usage updates) are not
-/// synchronized against readers; after streaming updates, make one similarity
-/// call before sharing the bank across threads again.
+/// Concurrency: const methods only read, so a bank may be shared across any
+/// number of reader threads with no preparation step. Mutations
+/// (absorb/remove/usage updates) need exclusive access.
 class DomainDescriptorBank {
  public:
   DomainDescriptorBank() = default;
@@ -54,15 +54,16 @@ class DomainDescriptorBank {
   explicit DomainDescriptorBank(const HvDataset& train);
 
   /// Number of domains K.
-  [[nodiscard]] std::size_t size() const noexcept { return descriptors_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return descriptors_.rows(); }
   [[nodiscard]] bool empty() const noexcept { return descriptors_.empty(); }
   [[nodiscard]] std::size_t dim() const noexcept {
-    return descriptors_.empty() ? 0 : descriptors_.front().dim();
+    return empty() ? 0 : descriptors_.dim();
   }
 
-  /// Descriptor U_k by position (not domain id) — the float mirror of the
-  /// wide-counter master, always in sync.
-  [[nodiscard]] const Hypervector& descriptor(std::size_t k) const {
+  /// Descriptor U_k by position (not domain id) — row k of the float mirror
+  /// of the wide-counter masters, always in sync. Throws std::out_of_range
+  /// on a bad position.
+  [[nodiscard]] std::span<const float> descriptor(std::size_t k) const {
     return descriptors_.at(k);
   }
 
@@ -96,24 +97,26 @@ class DomainDescriptorBank {
       std::span<const float> query) const;
 
   /// Row-major [queries.rows × K] matrix of δ(Q_i, U_k): one blocked matrix
-  /// kernel over the packed descriptors instead of a per-query loop.
+  /// kernel over the descriptor matrix instead of a per-query loop.
   [[nodiscard]] std::vector<double> similarities_batch(HvView queries) const;
 
-  /// Incremental construction (streaming/adaptation use cases): bundle one
-  /// more sample into the descriptor of `domain_id`, creating the descriptor
-  /// when the id is new. `dim` fixes the dimension on first use.
-  void absorb(std::span<const float> hv, int domain_id);
+  /// Incremental construction (streaming/adaptation use cases): bundle row i
+  /// of `rows` into the descriptor of `domain_ids[i]`, creating descriptors
+  /// for new ids (kept sorted by id); each touched row is refreshed once.
+  /// Throws std::invalid_argument on a row/id count or dimension mismatch.
+  void absorb(HvView rows, std::span<const int> domain_ids);
 
-  /// Bundle a whole block of samples into the descriptor of `domain_id` in
-  /// one pass (the batch form of absorb: streaming enrollment hands over an
-  /// adaptation batch, the packed cache goes stale once instead of per row).
-  void absorb_batch(HvView block, int domain_id);
+  /// One-sample form of absorb.
+  void absorb(std::span<const float> hv, int domain_id) {
+    absorb(HvView(hv), std::span<const int>(&domain_id, 1));
+  }
 
-  /// Drop descriptor k (position, not id) — the evict half of the lifecycle.
-  /// Survivors are untouched bit-for-bit; the caller must drop the matching
-  /// class bank itself (SmoreModel::remove_domain does both).
-  /// Throws std::out_of_range on a bad position.
-  void remove(std::size_t k);
+  /// Drop the descriptors at `positions` (not ids, any order) — the evict
+  /// half of the lifecycle. Survivors are untouched bit-for-bit; the caller
+  /// must drop the matching class banks itself (SmoreModel::remove_domains
+  /// does both). Throws std::out_of_range on a bad position and
+  /// std::invalid_argument on a repeated one, before removing anything.
+  void remove(std::span<const std::size_t> positions);
 
   /// Credit served queries to the domain with this id (no-op for unknown
   /// ids — the domain may have been evicted since the batch was scored).
@@ -134,31 +137,29 @@ class DomainDescriptorBank {
   /// lifecycle metadata and the DOUBLE wide-counter masters (the float
   /// mirrors are derived state). Format is stable within a library version.
   void save(std::ostream& out) const;
-  static DomainDescriptorBank load(std::istream& in);
-
-  /// Rebuild the lazy batch cache now if it is stale. After this, const
-  /// similarity queries are safe from any number of threads until the next
-  /// absorb — the serving snapshot contract (DESIGN.md §9).
-  void warm_cache() const { (void)packed(); }
+  /// Throws std::runtime_error on a corrupt or truncated record. Before
+  /// allocating, the header is checked against the util/serial.hpp caps and,
+  /// where nonzero, `expect_domains` / `expect_dim` (an enclosing shape).
+  static DomainDescriptorBank load(std::istream& in,
+                                   std::size_t expect_domains = 0,
+                                   std::size_t expect_dim = 0);
 
  private:
-  /// Packed [K × dim] descriptor block plus squared norms for the batch
-  /// kernel; rebuilt lazily after absorb().
-  const HvMatrix& packed() const;
   /// Position of `domain_id`, inserting an empty descriptor (sorted by id)
   /// when new.
   std::size_t locate_or_create(int domain_id, std::size_t dim);
+  /// Re-materialize mirror row k from its double master and refresh its
+  /// squared norm.
+  void refresh(std::size_t k);
 
-  std::vector<Hypervector> descriptors_;  // float mirrors (query plane)
-  std::vector<WideAccumulator> accum_;    // double masters (update plane)
+  HvMatrix descriptors_;                // float mirror [K × d] (query plane)
+  std::vector<double> norms_sq_;        // ‖U_k‖², refreshed with each row
+  std::vector<WideAccumulator> accum_;  // double masters (update plane)
   std::vector<int> ids_;
   std::vector<std::size_t> counts_;
   std::vector<DomainMeta> meta_;
   std::uint64_t clock_ = 0;
   int next_id_ = 0;
-  mutable HvMatrix packed_;
-  mutable std::vector<double> packed_norms_sq_;
-  mutable bool packed_stale_ = true;
 };
 
 }  // namespace smore

@@ -66,11 +66,13 @@ LifecycleRoundStats DomainLifecycle::run_round(
         stats.enrolled_ids.push_back(target_ids[c]);
       }
     }
-    // Absorb: labeled update into the domain model + descriptor bundle.
+    // Absorb: labeled update into the domain model + descriptor bundle, the
+    // whole round as one block.
+    std::vector<int> row_ids(samples.rows);
     for (std::size_t i = 0; i < samples.rows; ++i) {
-      model.absorb_labeled(samples.row(i), pseudo_labels[i],
-                           target_ids[clusters.assignment[i]]);
+      row_ids[i] = target_ids[clusters.assignment[i]];
     }
+    model.absorb_labeled(samples, pseudo_labels, row_ids);
     stats.absorbed = samples.rows;
     // Credit the round's own domains so a just-touched domain is not the
     // immediate eviction victim, and stamp merge counters.
@@ -90,12 +92,17 @@ LifecycleRoundStats DomainLifecycle::run_round(
 
   // 4. Evict down to the cap: lowest usage first, then least recently used,
   // then oldest enrollment — never a protected (source) position, never the
-  // last domain.
-  while (model.num_domains() > config_.max_domains &&
-         model.num_domains() > 1) {
-    const std::size_t k_bank = bank.size();
+  // last domain. Victims rank on metadata alone and removing a domain never
+  // changes a survivor's metadata, so they are all chosen first (in the
+  // order a one-at-a-time loop would take them) and dropped in one batch.
+  const std::size_t k_bank = bank.size();
+  std::vector<bool> chosen(k_bank, false);
+  std::vector<std::size_t> victims;
+  while (k_bank - victims.size() > config_.max_domains &&
+         k_bank - victims.size() > 1) {
     std::size_t victim = k_bank;
     for (std::size_t k = config_.protected_domains; k < k_bank; ++k) {
+      if (chosen[k]) continue;
       if (victim == k_bank) {
         victim = k;
         continue;
@@ -110,10 +117,12 @@ LifecycleRoundStats DomainLifecycle::run_round(
       }
     }
     if (victim >= k_bank) break;  // everything is protected: cap unreachable
+    chosen[victim] = true;
+    victims.push_back(victim);
     stats.evicted_ids.push_back(bank.domain_id(victim));
-    model.remove_domain(victim);
-    ++stats.evicted;
   }
+  if (!victims.empty()) model.remove_domains(victims);
+  stats.evicted = victims.size();
 
   return stats;
 }

@@ -20,7 +20,7 @@
 //   decay    usage scores forget exponentially, so eviction ranks recent
 //            traffic above history;
 //   evict    while K > max_domains, drop the least-used / oldest descriptor
-//            AND its class bank together (SmoreModel::remove_domain).
+//            AND its class bank together (SmoreModel::remove_domains).
 //
 // The engine is deliberately a pure model-to-model transformation: it knows
 // nothing about threads, snapshots, or servers. The router's adaptation
@@ -96,8 +96,9 @@ class DomainLifecycle {
   ///      since the last round), decay all usage scores;
   ///   2. cluster `samples` (one pseudo-label per row, parallel spans);
   ///   3. merge or enroll each cluster (every sample is absorbed — labeled
-  ///      updates into the domain model, bundle into the descriptor);
-  ///   4. evict down to max_domains.
+  ///      updates into the domain model, bundle into the descriptor — in
+  ///      one absorb_labeled block);
+  ///   4. evict down to max_domains (one remove_domains batch).
   /// Throws std::invalid_argument on samples/labels size mismatch,
   /// std::logic_error on an untrained model.
   LifecycleRoundStats run_round(

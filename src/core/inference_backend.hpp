@@ -14,7 +14,7 @@
 // The interface is deliberately small: one batched predict (the serving
 // currency), plus the three introspection calls deployment reports need
 // (footprint, dimension, domain count). Training, calibration, and continual
-// updates stay on the concrete types — backends are immutable serving views.
+// updates stay on the concrete types — backends are read-only serving views.
 
 #include <cstddef>
 #include <cstdint>
@@ -49,10 +49,9 @@ struct SmoreBatchResult {
   std::size_t num_domains = 0;         ///< K (row stride of `weights`)
 };
 
-/// Abstract immutable serving view of a trained SMORE model. All methods are
-/// const and data-race-free once the underlying model is prepared for
-/// serving (SmoreModel::prepare_serving; packed models are immutable by
-/// construction) — a backend can be shared across any number of threads.
+/// Abstract read-only serving view of a trained SMORE model. All methods are
+/// const and data-race-free — const methods of both model types only read
+/// (DESIGN.md §9) — so a backend can be shared across any number of threads.
 class InferenceBackend {
  public:
   virtual ~InferenceBackend() = default;

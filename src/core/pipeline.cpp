@@ -136,7 +136,7 @@ HvDataset Pipeline::encode(const WindowDataset& windows) const {
 void Pipeline::save(std::ostream& out) const {
   require_trained("Pipeline::save");
   if (packed_ != nullptr && packed_->num_domains() != model_->num_domains()) {
-    // The mutable model() accessor allows post-quantize updates (e.g.
+    // The writable model() accessor allows post-quantize updates (e.g.
     // absorb_labeled of a new domain); persisting the stale quantization
     // next to the updated float model would ship an artifact whose two
     // backends disagree. (Same-domain-count staleness cannot be detected

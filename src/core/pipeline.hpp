@@ -191,7 +191,7 @@ class Pipeline {
   [[nodiscard]] std::shared_ptr<const Encoder> encoder_ptr() const noexcept {
     return encoder_;
   }
-  /// The float model (mutable access for post-load tweaks: set_delta_star,
+  /// The float model (writable for post-load tweaks: set_delta_star,
   /// absorb_labeled). After mutating, call quantize() again before save() —
   /// the packed model is NOT auto-refreshed, and save() rejects the one
   /// staleness it can detect (a domain-count mismatch).

@@ -5,6 +5,8 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "util/serial.hpp"
+
 namespace smore {
 
 SmoreModel::SmoreModel(int num_classes, std::size_t dim, SmoreConfig config)
@@ -39,8 +41,8 @@ std::vector<double> SmoreModel::fit(const HvDataset& train) {
     const auto idx = train.indices_of_domain(domain_id);
     const HvDataset domain_data = train.select(idx);
 
-    auto model = std::make_unique<OnlineHDClassifier>(num_classes_, dim_);
-    const auto history = model->fit(domain_data, config_.domain_model);
+    OnlineHDClassifier model(num_classes_, dim_);
+    const auto history = model.fit(domain_data, config_.domain_model);
     final_accuracy.push_back(history.empty() ? 0.0 : history.back());
     models_.push_back(std::move(model));
   }
@@ -51,61 +53,65 @@ std::vector<double> SmoreModel::fit(const HvDataset& train) {
   return final_accuracy;
 }
 
-void SmoreModel::rebuild_evaluator() const {
+void SmoreModel::rebuild_evaluator() {
   std::vector<const OnlineHDClassifier*> ptrs;
   ptrs.reserve(models_.size());
-  for (const auto& m : models_) ptrs.push_back(m.get());
-  evaluator_ = std::make_unique<EnsembleEvaluator>(std::move(ptrs));
-  evaluator_stale_ = false;
+  for (const auto& m : models_) ptrs.push_back(&m);
+  evaluator_ = std::make_unique<EnsembleEvaluator>(ptrs);
 }
 
-void SmoreModel::absorb_labeled(std::span<const float> hv, int label,
-                                int domain_id) {
+void SmoreModel::absorb_labeled(HvView rows, std::span<const int> labels,
+                                std::span<const int> domain_ids) {
   if (!trained()) {
     throw std::logic_error("SmoreModel::absorb_labeled before fit");
   }
-  if (hv.size() != dim_) {
+  if (labels.size() != rows.rows || domain_ids.size() != rows.rows) {
+    throw std::invalid_argument("absorb_labeled: row/label/id count mismatch");
+  }
+  if (rows.empty()) return;
+  if (rows.dim != dim_) {
     throw std::invalid_argument("absorb_labeled: dimension mismatch");
   }
-  if (label < 0 || label >= num_classes_) {
-    throw std::invalid_argument("absorb_labeled: label out of range");
+  for (const int label : labels) {
+    if (label < 0 || label >= num_classes_) {
+      throw std::invalid_argument("absorb_labeled: label out of range");
+    }
   }
-  // Locate (or create) the domain model at the position matching the
-  // descriptor bank's sorted-id order.
-  const auto& ids = descriptors_.domain_ids();
-  const auto it = std::lower_bound(ids.begin(), ids.end(), domain_id);
-  std::size_t pos = static_cast<std::size_t>(it - ids.begin());
-  if (it == ids.end() || *it != domain_id) {
-    models_.insert(models_.begin() + static_cast<std::ptrdiff_t>(pos),
-                   std::make_unique<OnlineHDClassifier>(num_classes_, dim_));
+  // The bank creates descriptors for new ids at their sorted positions;
+  // insert a fresh domain model at each of them so positions stay aligned.
+  const std::vector<int> before = descriptors_.domain_ids();
+  descriptors_.absorb(rows, domain_ids);
+  const std::vector<int>& ids = descriptors_.domain_ids();
+  for (std::size_t pos = 0; pos < ids.size(); ++pos) {
+    if (!std::binary_search(before.begin(), before.end(), ids[pos])) {
+      models_.insert(models_.begin() + static_cast<std::ptrdiff_t>(pos),
+                     OnlineHDClassifier(num_classes_, dim_));
+    }
   }
-  descriptors_.absorb(hv, domain_id);  // keeps its own sorted order
-  models_[pos]->bootstrap(hv, label);
-  models_[pos]->refine(hv, label, config_.domain_model.learning_rate);
-  evaluator_stale_ = true;
+  for (std::size_t i = 0; i < rows.rows; ++i) {
+    const auto it = std::lower_bound(ids.begin(), ids.end(), domain_ids[i]);
+    OnlineHDClassifier& m = models_[static_cast<std::size_t>(it - ids.begin())];
+    m.bootstrap(rows.row(i), labels[i]);
+    m.refine(rows.row(i), labels[i], config_.domain_model.learning_rate);
+  }
+  rebuild_evaluator();
 }
 
-void SmoreModel::remove_domain(std::size_t k) {
+void SmoreModel::remove_domains(std::span<const std::size_t> positions) {
   if (!trained()) {
-    throw std::logic_error("SmoreModel::remove_domain before fit");
+    throw std::logic_error("SmoreModel::remove_domains before fit");
   }
-  if (k >= models_.size()) {
-    throw std::out_of_range("SmoreModel::remove_domain: bad position");
-  }
-  if (models_.size() == 1) {
+  if (positions.size() >= models_.size()) {
     throw std::logic_error(
-        "SmoreModel::remove_domain: cannot evict the last domain");
+        "SmoreModel::remove_domains: cannot evict the last domain");
   }
-  models_.erase(models_.begin() + static_cast<std::ptrdiff_t>(k));
-  descriptors_.remove(k);
-  evaluator_stale_ = true;
-}
-
-std::vector<double> SmoreModel::weights_for(std::span<const float> /*hv*/,
-                                            const OodVerdict& verdict,
-                                            std::span<const double> sims) const {
-  return ensemble_weights(sims, detector_.delta_star(), verdict.is_ood,
-                          config_.weight_mode);
+  descriptors_.remove(positions);  // validates every position first
+  std::vector<bool> drop(models_.size(), false);
+  for (const std::size_t k : positions) drop[k] = true;
+  for (std::size_t k = models_.size(); k-- > 0;) {
+    if (drop[k]) models_.erase(models_.begin() + static_cast<std::ptrdiff_t>(k));
+  }
+  rebuild_evaluator();
 }
 
 SmorePrediction SmoreModel::predict_detail(std::span<const float> hv) const {
@@ -120,10 +126,10 @@ SmorePrediction SmoreModel::predict_detail(std::span<const float> hv) const {
   out.max_similarity = verdict.max_similarity;
 
   // F: ensemble weights (lines 3-6).
-  out.weights = weights_for(hv, verdict, out.domain_similarity);
+  out.weights = ensemble_weights(out.domain_similarity, detector_.delta_star(),
+                                 verdict.is_ood, config_.weight_mode);
 
   // G: argmax over ensembled class hypervectors (line 7).
-  if (evaluator_stale_) rebuild_evaluator();
   out.label = evaluator_->predict(hv, out.weights);
   return out;
 }
@@ -178,7 +184,6 @@ std::vector<int> SmoreModel::predict_batch_impl(
   }
 
   // G: batched ensembled argmax (line 7).
-  if (evaluator_stale_) rebuild_evaluator();
   std::vector<int> labels = evaluator_->predict_batch(queries, weights);
   if (full != nullptr) full->weights = std::move(weights);
   return labels;
@@ -281,7 +286,7 @@ void SmoreModel::save(std::ostream& out) const {
   out.write(reinterpret_cast<const char*>(&delta), sizeof(delta));
   out.write(reinterpret_cast<const char*>(&mode), sizeof(mode));
   out.write(reinterpret_cast<const char*>(&domains), sizeof(domains));
-  for (const auto& model : models_) model->save(out);
+  for (const auto& model : models_) model.save(out);
   descriptors_.save(out);
 }
 
@@ -303,7 +308,15 @@ SmoreModel SmoreModel::load(std::istream& in) {
   in.read(reinterpret_cast<char*>(&delta), sizeof(delta));
   in.read(reinterpret_cast<char*>(&mode), sizeof(mode));
   in.read(reinterpret_cast<char*>(&domains), sizeof(domains));
-  if (!in || classes <= 0 || dim == 0) {
+  // Validate before allocating: K class banks plus K descriptors, each row a
+  // float mirror and a double master; the records must match this shape.
+  if (!in || classes <= 0 ||
+      static_cast<std::uint64_t>(classes) > serial::kMaxClasses ||
+      dim == 0 || dim > serial::kMaxDim || domains == 0 ||
+      domains > serial::kMaxDomains ||
+      !serial::within_model_bytes(
+          domains * (static_cast<std::uint64_t>(classes) + 1),
+          dim * (sizeof(float) + sizeof(double)))) {
     throw std::runtime_error("SmoreModel::load: corrupt header");
   }
   SmoreConfig config;
@@ -311,22 +324,11 @@ SmoreModel SmoreModel::load(std::istream& in) {
   config.weight_mode = static_cast<WeightMode>(mode);
   SmoreModel model(classes, static_cast<std::size_t>(dim), config);
   for (std::uint64_t k = 0; k < domains; ++k) {
-    auto m = std::make_unique<OnlineHDClassifier>(OnlineHDClassifier::load(in));
-    if (m->num_classes() != classes || m->dim() != dim) {
-      throw std::runtime_error("SmoreModel::load: inconsistent domain model");
-    }
-    model.models_.push_back(std::move(m));
+    model.models_.push_back(OnlineHDClassifier::load(in, classes, model.dim_));
   }
-  model.descriptors_ = DomainDescriptorBank::load(in);
-  if (model.descriptors_.size() != model.models_.size()) {
-    throw std::runtime_error("SmoreModel::load: descriptor/model mismatch");
-  }
-  if (!model.models_.empty()) {
-    std::vector<const OnlineHDClassifier*> ptrs;
-    ptrs.reserve(model.models_.size());
-    for (const auto& m : model.models_) ptrs.push_back(m.get());
-    model.evaluator_ = std::make_unique<EnsembleEvaluator>(std::move(ptrs));
-  }
+  model.descriptors_ = DomainDescriptorBank::load(
+      in, static_cast<std::size_t>(domains), model.dim_);
+  model.rebuild_evaluator();
   return model;
 }
 
@@ -338,21 +340,11 @@ SmoreModel SmoreModel::clone() const {
   // constructor rebuilds an identical detector.
   SmoreModel out(num_classes_, dim_, config_);
   out.descriptors_ = descriptors_;
-  out.models_.reserve(models_.size());
-  for (const auto& m : models_) {
-    out.models_.push_back(std::make_unique<OnlineHDClassifier>(*m));
-  }
-  out.rebuild_evaluator();
+  out.models_ = models_;
+  // The evaluator holds copies, not references: equal class vectors, equal
+  // evaluator — copy it instead of recomputing the Gram matrices.
+  out.evaluator_ = std::make_unique<EnsembleEvaluator>(*evaluator_);
   return out;
-}
-
-void SmoreModel::prepare_serving() const {
-  if (!trained()) {
-    throw std::logic_error("SmoreModel::prepare_serving before fit");
-  }
-  if (evaluator_stale_) rebuild_evaluator();
-  descriptors_.warm_cache();
-  for (const auto& m : models_) m->warm_cache();
 }
 
 TestTimeModel SmoreModel::materialize_test_time_model(
@@ -362,10 +354,11 @@ TestTimeModel SmoreModel::materialize_test_time_model(
   }
   const auto sims = descriptors_.similarities(hv);
   const OodVerdict verdict = detector_.evaluate(sims);
-  const auto weights = weights_for(hv, verdict, sims);
+  const auto weights = ensemble_weights(sims, detector_.delta_star(),
+                                        verdict.is_ood, config_.weight_mode);
   std::vector<const OnlineHDClassifier*> ptrs;
   ptrs.reserve(models_.size());
-  for (const auto& m : models_) ptrs.push_back(m.get());
+  for (const auto& m : models_) ptrs.push_back(&m);
   return TestTimeModel(ptrs, weights);
 }
 

@@ -15,6 +15,11 @@
 // The encoder is deliberately *outside* this class: SMORE consumes encoded
 // HvDatasets, so a dataset is encoded once and shared across folds,
 // algorithms, and ablations.
+//
+// Concurrency: every mutating call (fit, load, clone, absorb_labeled,
+// remove_domains) rebuilds the ensemble evaluator before it returns and
+// const methods only read, so a const SmoreModel can be shared across reader
+// threads as soon as it exists, with no preparation step (DESIGN.md §9).
 
 #include <cstddef>
 #include <cstdint>
@@ -119,7 +124,7 @@ class SmoreModel {
 
   /// Domain-specific model M_k by position (ascending domain id).
   [[nodiscard]] const OnlineHDClassifier& domain_model(std::size_t k) const {
-    return *models_.at(k);
+    return models_.at(k);
   }
 
   /// The descriptor bank U.
@@ -127,18 +132,20 @@ class SmoreModel {
     return descriptors_;
   }
 
-  /// Mutable bank access for the lifecycle layer (usage credit, decay,
-  /// round clock). Structural changes (absorb/remove) must go through
-  /// absorb_labeled/remove_domain so the per-domain models stay aligned.
+  /// Writable bank access for the lifecycle layer's metadata (usage credit,
+  /// decay, round clock). Structural changes (absorb/remove) must go through
+  /// absorb_labeled/remove_domains so the per-domain models stay aligned.
   [[nodiscard]] DomainDescriptorBank& descriptors() noexcept {
     return descriptors_;
   }
 
-  /// Evict domain at position k (ascending-id order): drops the descriptor
-  /// AND its class bank together, so positions stay aligned. Survivors are
-  /// untouched bit-for-bit. Throws std::logic_error when untrained or when
-  /// this would evict the last domain, std::out_of_range on a bad position.
-  void remove_domain(std::size_t k);
+  /// Evict the domains at `positions` (in any order): drops each descriptor
+  /// AND its class bank together, so positions stay aligned, then rebuilds
+  /// the evaluator once. Survivors are untouched bit-for-bit. Throws before
+  /// changing anything: std::logic_error when untrained or when this would
+  /// evict every domain, std::out_of_range on a bad position,
+  /// std::invalid_argument on a repeated one.
+  void remove_domains(std::span<const std::size_t> positions);
 
   /// Adjust δ* after training (Fig. 5 sweeps this without refitting).
   void set_delta_star(double delta_star);
@@ -160,19 +167,22 @@ class SmoreModel {
       std::span<const float> hv) const;
 
   /// Continual learning (the "Model Update" box of the paper's Fig. 2):
-  /// absorb one labeled sample into the domain-specific model and descriptor
-  /// of `domain_id` after fit(), creating both when the domain is new — the
-  /// streaming complement to batch fit(). Uses the adaptive bootstrap rule
-  /// (C += (1-δ)·H) plus one Eq.-2 refinement step. The Gram acceleration
-  /// structures are refreshed lazily on the next prediction, so bursts of
-  /// updates cost one rebuild. Throws std::logic_error before fit(),
-  /// std::invalid_argument on bad label/dimension.
-  void absorb_labeled(std::span<const float> hv, int label, int domain_id);
+  /// absorb each row of `rows` with its label into the domain-specific model
+  /// and descriptor of its domain id after fit(), creating both when a
+  /// domain is new — the streaming complement to batch fit(). Rows are
+  /// absorbed in order, each with the adaptive bootstrap rule (C += (1-δ)·H)
+  /// plus one Eq.-2 refinement step; the Gram acceleration structures are
+  /// rebuilt once, after the block. Throws std::logic_error before fit(),
+  /// std::invalid_argument on a size, label or dimension mismatch (before
+  /// changing anything).
+  void absorb_labeled(HvView rows, std::span<const int> labels,
+                      std::span<const int> domain_ids);
 
   /// Serialize the trained model (config, per-domain models, descriptors);
   /// load() reconstructs a ready-to-predict model including the Gram
   /// acceleration structures. Throws std::logic_error when untrained,
-  /// std::runtime_error on corrupt input.
+  /// std::runtime_error on corrupt input — every header is checked against
+  /// the util/serial.hpp caps and the enclosing shape before allocation.
   void save(std::ostream& out) const;
   static SmoreModel load(std::istream& in);
 
@@ -182,36 +192,22 @@ class SmoreModel {
   /// model. Throws std::logic_error when untrained.
   [[nodiscard]] SmoreModel clone() const;
 
-  /// Refresh every lazily rebuilt acceleration structure (ensemble
-  /// evaluator, descriptor and class-vector batch caches) so that ALL const
-  /// prediction methods are data-race-free from any number of threads.
-  /// Publishing a model as an immutable serving snapshot requires calling
-  /// this first (ModelSnapshot::make does); after any later mutation the
-  /// model must be re-prepared before being shared again (DESIGN.md §9).
-  /// Throws std::logic_error when untrained.
-  void prepare_serving() const;
-
  private:
-  [[nodiscard]] std::vector<double> weights_for(
-      std::span<const float> hv, const OodVerdict& verdict,
-      std::span<const double> sims) const;
   /// Batched Algorithm 1 core; fills `ood_flags` (one per query) and/or the
   /// non-label fields of `full` when non-null.
   [[nodiscard]] std::vector<int> predict_batch_impl(
       HvView queries, std::vector<std::uint8_t>* ood_flags,
       SmoreBatchResult* full) const;
-  void rebuild_evaluator() const;
+  void rebuild_evaluator();
 
   int num_classes_;
   std::size_t dim_;
   SmoreConfig config_;
   OodDetector detector_;
-  // unique_ptr keeps OnlineHDClassifier addresses stable for the evaluator.
-  std::vector<std::unique_ptr<OnlineHDClassifier>> models_;
+  std::vector<OnlineHDClassifier> models_;
   DomainDescriptorBank descriptors_;
-  // Lazily rebuilt after continual updates (absorb_labeled marks it stale).
-  mutable std::unique_ptr<EnsembleEvaluator> evaluator_;
-  mutable bool evaluator_stale_ = false;
+  // Rebuilt at the end of every call that changes models_.
+  std::unique_ptr<EnsembleEvaluator> evaluator_;
 };
 
 }  // namespace smore

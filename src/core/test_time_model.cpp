@@ -112,8 +112,8 @@ TestTimeModel::TestTimeModel(std::span<const OnlineHDClassifier* const> models,
   for (int c = 0; c < n; ++c) {
     Hypervector& out = classes_[static_cast<std::size_t>(c)];
     for (std::size_t k = 0; k < models.size(); ++k) {
-      out.add_scaled(models[k]->class_vector(c),
-                     static_cast<float>(weights[k]));
+      ops::axpy(static_cast<float>(weights[k]),
+                models[k]->class_vector(c).data(), out.data(), d);
     }
   }
 }
@@ -136,27 +136,27 @@ int TestTimeModel::predict(std::span<const float> hv) const {
 }
 
 EnsembleEvaluator::EnsembleEvaluator(
-    std::vector<const OnlineHDClassifier*> models)
-    : models_(std::move(models)) {
-  if (models_.empty()) {
+    const std::vector<const OnlineHDClassifier*>& models)
+    : num_models_(models.size()) {
+  if (models.empty()) {
     throw std::invalid_argument("EnsembleEvaluator: no models");
   }
-  num_classes_ = models_.front()->num_classes();
-  dim_ = models_.front()->dim();
-  for (const auto* m : models_) {
+  num_classes_ = models.front()->num_classes();
+  dim_ = models.front()->dim();
+  for (const auto* m : models) {
     if (m == nullptr || m->num_classes() != num_classes_ || m->dim() != dim_) {
       throw std::invalid_argument("EnsembleEvaluator: heterogeneous models");
     }
   }
-  const std::size_t k = models_.size();
+  const std::size_t k = num_models_;
   gram_.assign(static_cast<std::size_t>(num_classes_),
                std::vector<double>(k * k, 0.0));
   for (int c = 0; c < num_classes_; ++c) {
     auto& g = gram_[static_cast<std::size_t>(c)];
     for (std::size_t i = 0; i < k; ++i) {
       for (std::size_t j = i; j < k; ++j) {
-        const double v = ops::dot(models_[i]->class_vector(c).data(),
-                                  models_[j]->class_vector(c).data(), dim_);
+        const double v = ops::dot(models[i]->class_vector(c).data(),
+                                  models[j]->class_vector(c).data(), dim_);
         g[i * k + j] = v;
         g[j * k + i] = v;
       }
@@ -168,7 +168,7 @@ EnsembleEvaluator::EnsembleEvaluator(
   for (int c = 0; c < num_classes_; ++c) {
     for (std::size_t i = 0; i < k; ++i) {
       packed_.set_row(static_cast<std::size_t>(c) * k + i,
-                      models_[i]->class_vector(c).span());
+                      models[i]->class_vector(c));
     }
   }
 }
@@ -176,7 +176,7 @@ EnsembleEvaluator::EnsembleEvaluator(
 void EnsembleEvaluator::combine_class(const double* class_dots,
                                       std::span<const double> w, int c,
                                       double& dot_qc, double& norm_sq) const {
-  const std::size_t k = models_.size();
+  const std::size_t k = num_models_;
   dot_qc = 0.0;
   norm_sq = 0.0;
   // dot(Q, C_c^T) = Σ_k w_k <Q, C_c^k>
@@ -200,10 +200,10 @@ std::vector<double> EnsembleEvaluator::class_similarities(
   if (hv.size() != dim_) {
     throw std::invalid_argument("EnsembleEvaluator: query dim mismatch");
   }
-  if (weights.size() != models_.size()) {
+  if (weights.size() != num_models_) {
     throw std::invalid_argument("EnsembleEvaluator: weight arity mismatch");
   }
-  const std::size_t k = models_.size();
+  const std::size_t k = num_models_;
   const double q_norm = ops::nrm2(hv.data(), dim_);
   std::vector<double> class_dots(k);
   std::vector<double> sims(static_cast<std::size_t>(num_classes_), 0.0);
@@ -212,7 +212,9 @@ std::vector<double> EnsembleEvaluator::class_similarities(
       class_dots[i] =
           weights[i] == 0.0
               ? 0.0
-              : ops::dot(hv.data(), models_[i]->class_vector(c).data(), dim_);
+              : ops::dot(hv.data(),
+                         packed_.row(static_cast<std::size_t>(c) * k + i).data(),
+                         dim_);
     }
     double dot_qc = 0.0;
     double norm_sq = 0.0;
@@ -242,7 +244,7 @@ std::vector<int> EnsembleEvaluator::predict_batch(
   if (queries.dim != dim_) {
     throw std::invalid_argument("EnsembleEvaluator: query dim mismatch");
   }
-  const std::size_t k = models_.size();
+  const std::size_t k = num_models_;
   if (weights.size() != queries.rows * k) {
     throw std::invalid_argument("EnsembleEvaluator: weight arity mismatch");
   }

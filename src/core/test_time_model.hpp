@@ -87,13 +87,13 @@ class TestTimeModel {
 /// Materialization-free evaluator over a fixed set of domain models.
 class EnsembleEvaluator {
  public:
-  /// Precomputes the per-class Gram matrices. The pointed-to models must
-  /// outlive the evaluator and must not be mutated afterwards.
-  explicit EnsembleEvaluator(std::vector<const OnlineHDClassifier*> models);
+  /// Precomputes the per-class Gram matrices and copies the class vectors
+  /// it reads, keeping no reference to `models`: a copy of the evaluator
+  /// serves any deep copy of them.
+  explicit EnsembleEvaluator(
+      const std::vector<const OnlineHDClassifier*>& models);
 
-  [[nodiscard]] std::size_t num_models() const noexcept {
-    return models_.size();
-  }
+  [[nodiscard]] std::size_t num_models() const noexcept { return num_models_; }
   [[nodiscard]] int num_classes() const noexcept { return num_classes_; }
 
   /// argmax_c δ(hv, Σ_k w_k C_c^k) without building the ensemble.
@@ -119,13 +119,13 @@ class EnsembleEvaluator {
   void combine_class(const double* class_dots, std::span<const double> w,
                      int c, double& dot_qc, double& norm_sq) const;
 
-  std::vector<const OnlineHDClassifier*> models_;
+  std::size_t num_models_ = 0;
   int num_classes_ = 0;
   std::size_t dim_ = 0;
   // gram_[c] is a K×K matrix, row-major: <C_c^i, C_c^j>.
   std::vector<std::vector<double>> gram_;
   // All K·n class vectors packed row-major, row index c·K + k (the K vectors
-  // of one class contiguous); feeds the batched dot kernel.
+  // of one class contiguous); the scalar and batched dots both read it.
   HvMatrix packed_;
 };
 

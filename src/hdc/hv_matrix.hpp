@@ -5,17 +5,15 @@
 // built on it) operates on [rows × dim] float blocks rather than individual
 // hypervectors. HvView is the non-owning currency every batch API accepts —
 // an HvDataset, an HvMatrix, or a single hypervector (batch of one) all
-// convert to it for free. HvMatrix owns such a block; classifiers use it to
-// keep their prototypes (class vectors, domain descriptors) packed
-// contiguously so one matrix kernel replaces a loop of per-vector dots.
+// convert to it for free. HvMatrix owns such a block; classifiers store their
+// prototypes (class vectors, domain descriptors) in one, so one matrix
+// kernel replaces a loop of per-vector dots.
 
 #include <algorithm>
 #include <cstddef>
 #include <span>
 #include <stdexcept>
 #include <vector>
-
-#include "hdc/hypervector.hpp"
 
 namespace smore {
 
@@ -57,24 +55,6 @@ class HvMatrix {
   HvMatrix(std::size_t rows, std::size_t dim)
       : rows_(rows), dim_(dim), data_(rows * dim, 0.0f) {}
 
-  /// Pack a set of equally-sized hypervectors into one contiguous block.
-  /// Throws std::invalid_argument on dimension disagreement.
-  static HvMatrix pack(std::span<const Hypervector> hvs) {
-    HvMatrix out;
-    if (hvs.empty()) return out;
-    out.rows_ = hvs.size();
-    out.dim_ = hvs.front().dim();
-    out.data_.resize(out.rows_ * out.dim_);
-    for (std::size_t i = 0; i < hvs.size(); ++i) {
-      if (hvs[i].dim() != out.dim_) {
-        throw std::invalid_argument("HvMatrix::pack: dimension mismatch");
-      }
-      const float* src = hvs[i].data();
-      std::copy(src, src + out.dim_, out.data_.data() + i * out.dim_);
-    }
-    return out;
-  }
-
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
   [[nodiscard]] bool empty() const noexcept { return rows_ == 0; }
@@ -85,6 +65,20 @@ class HvMatrix {
     rows_ = rows;
     dim_ = dim;
     data_.assign(rows * dim, 0.0f);
+  }
+
+  /// Insert a zero row before row i (i == rows() appends).
+  void insert_row(std::size_t i) {
+    data_.insert(data_.begin() + static_cast<std::ptrdiff_t>(i * dim_), dim_,
+                 0.0f);
+    ++rows_;
+  }
+
+  /// Remove row i; the rows after it move up by one.
+  void erase_row(std::size_t i) {
+    const auto first = data_.begin() + static_cast<std::ptrdiff_t>(i * dim_);
+    data_.erase(first, first + static_cast<std::ptrdiff_t>(dim_));
+    --rows_;
   }
 
   /// Move the backing storage out (the matrix becomes empty). Lets HvDataset
@@ -103,6 +97,11 @@ class HvMatrix {
   }
   [[nodiscard]] std::span<const float> row(std::size_t i) const noexcept {
     return {data_.data() + i * dim_, dim_};
+  }
+  /// Row i, bounds-checked: throws std::out_of_range.
+  [[nodiscard]] std::span<const float> at(std::size_t i) const {
+    if (i >= rows_) throw std::out_of_range("HvMatrix::at: bad row");
+    return row(i);
   }
 
   /// Overwrite row i. Throws std::invalid_argument on dimension mismatch.

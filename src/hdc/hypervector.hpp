@@ -32,6 +32,10 @@ class Hypervector {
   /// Take ownership of raw values.
   explicit Hypervector(std::vector<float> values) : v_(std::move(values)) {}
 
+  /// Copy of a row view (e.g. a class vector or descriptor of a model).
+  explicit Hypervector(std::span<const float> values)
+      : v_(values.begin(), values.end()) {}
+
   /// Random bipolar (+1/-1) hypervector: the paper's "randomly generated
   /// hypervector". Two random bipolar hypervectors of the same (large)
   /// dimension are nearly orthogonal with overwhelming probability.

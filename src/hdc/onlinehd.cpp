@@ -5,18 +5,18 @@
 #include <stdexcept>
 
 #include "util/rng.hpp"
+#include "util/serial.hpp"
 
 namespace smore {
 
-OnlineHDClassifier::OnlineHDClassifier(int num_classes, std::size_t dim)
-    : dim_(dim) {
+OnlineHDClassifier::OnlineHDClassifier(int num_classes, std::size_t dim) {
   if (num_classes <= 0) {
     throw std::invalid_argument("OnlineHDClassifier: num_classes must be > 0");
   }
   if (dim == 0) {
     throw std::invalid_argument("OnlineHDClassifier: dim must be > 0");
   }
-  classes_.assign(static_cast<std::size_t>(num_classes), Hypervector(dim));
+  classes_ = HvMatrix(static_cast<std::size_t>(num_classes), dim);
   accum_.assign(static_cast<std::size_t>(num_classes), WideAccumulator(dim));
   norms_.assign(static_cast<std::size_t>(num_classes), 0.0);
 }
@@ -25,34 +25,22 @@ double OnlineHDClassifier::cosine_to_class(std::span<const float> hv,
                                            double hv_norm, int c) const {
   const double cn = norms_[static_cast<std::size_t>(c)];
   if (hv_norm == 0.0 || cn == 0.0) return 0.0;
-  return ops::dot(hv.data(), classes_[static_cast<std::size_t>(c)].data(),
-                  dim_) /
+  return ops::dot(hv.data(), classes_.row(static_cast<std::size_t>(c)).data(),
+                  dim()) /
          (hv_norm * cn);
 }
 
-void OnlineHDClassifier::refresh_norm(int c) {
-  norms_[static_cast<std::size_t>(c)] =
-      classes_[static_cast<std::size_t>(c)].norm();
-  packed_stale_ = true;
-}
-
-const HvMatrix& OnlineHDClassifier::packed() const {
-  if (packed_stale_) {
-    packed_ = HvMatrix::pack(classes_);
-    packed_norms_sq_.resize(norms_.size());
-    for (std::size_t c = 0; c < norms_.size(); ++c) {
-      packed_norms_sq_[c] = norms_[c] * norms_[c];
-    }
-    packed_stale_ = false;
-  }
-  return packed_;
+void OnlineHDClassifier::refresh(int c) {
+  const auto i = static_cast<std::size_t>(c);
+  accum_[i].materialize(classes_.row(i).data());
+  norms_[i] = ops::nrm2(classes_.row(i).data(), dim());
 }
 
 void OnlineHDClassifier::bootstrap(std::span<const float> hv, int label) {
-  if (hv.size() != dim_) {
+  if (hv.size() != dim()) {
     throw std::invalid_argument("bootstrap: dimension mismatch");
   }
-  const double hv_norm = ops::nrm2(hv.data(), dim_);
+  const double hv_norm = ops::nrm2(hv.data(), dim());
   const double delta = cosine_to_class(hv, hv_norm, label);
   // The weight is float-rounded (as the float-only path used it), then the
   // update lands on the double master and re-materializes the float mirror.
@@ -62,10 +50,10 @@ void OnlineHDClassifier::bootstrap(std::span<const float> hv, int label) {
 
 bool OnlineHDClassifier::refine(std::span<const float> hv, int label,
                                 float learning_rate) {
-  if (hv.size() != dim_) {
+  if (hv.size() != dim()) {
     throw std::invalid_argument("refine: dimension mismatch");
   }
-  const double hv_norm = ops::nrm2(hv.data(), dim_);
+  const double hv_norm = ops::nrm2(hv.data(), dim());
   int best = 0;
   double best_sim = -2.0;
   for (int c = 0; c < num_classes(); ++c) {
@@ -87,15 +75,13 @@ bool OnlineHDClassifier::refine(std::span<const float> hv, int label,
 
 void OnlineHDClassifier::update_class(int c, double weight,
                                       std::span<const float> hv) {
-  WideAccumulator& acc = accum_[static_cast<std::size_t>(c)];
-  acc.axpy(weight, hv);
-  acc.materialize(classes_[static_cast<std::size_t>(c)].data());
-  refresh_norm(c);
+  accum_[static_cast<std::size_t>(c)].axpy(weight, hv);
+  refresh(c);
 }
 
 std::vector<double> OnlineHDClassifier::fit(const HvDataset& train,
                                             const OnlineHDConfig& config) {
-  if (train.dim() != dim_) {
+  if (train.dim() != dim()) {
     throw std::invalid_argument("fit: dataset dimension mismatch");
   }
   Rng rng(config.seed);
@@ -119,14 +105,11 @@ std::vector<double> OnlineHDClassifier::fit(const HvDataset& train,
                           : static_cast<double>(correct) /
                                 static_cast<double>(train.size()));
   }
-  // Warm the batch-path cache so a freshly trained model can be shared
-  // across threads for const prediction without a lazy rebuild race.
-  (void)packed();
   return history;
 }
 
 int OnlineHDClassifier::predict(std::span<const float> hv) const {
-  if (hv.size() != dim_) {
+  if (hv.size() != dim()) {
     throw std::invalid_argument("predict: dimension mismatch");
   }
   return predict_batch(HvView(hv)).front();
@@ -134,7 +117,7 @@ int OnlineHDClassifier::predict(std::span<const float> hv) const {
 
 std::vector<double> OnlineHDClassifier::similarities(
     std::span<const float> hv) const {
-  if (hv.size() != dim_) {
+  if (hv.size() != dim()) {
     throw std::invalid_argument("similarities: dimension mismatch");
   }
   return similarities_batch(HvView(hv));
@@ -142,15 +125,14 @@ std::vector<double> OnlineHDClassifier::similarities(
 
 std::vector<int> OnlineHDClassifier::predict_batch(HvView queries) const {
   if (queries.rows == 0) return {};
-  if (queries.dim != dim_) {
+  if (queries.dim != dim()) {
     throw std::invalid_argument("predict_batch: dimension mismatch");
   }
-  const HvMatrix& classes = packed();
   const auto k = static_cast<std::size_t>(num_classes());
   // Raw dots suffice for the argmax: cosine divides every class score by the
   // same positive query norm, so only the per-class 1/‖C_c‖ factor matters.
   std::vector<double> dots(queries.rows * k);
-  ops::dot_matrix(queries.data, queries.rows, classes.data(), k, dim_,
+  ops::dot_matrix(queries.data, queries.rows, classes_.data(), k, dim(),
                   dots.data());
   std::vector<double> inv_norm(k);
   for (std::size_t c = 0; c < k; ++c) {
@@ -176,14 +158,15 @@ std::vector<int> OnlineHDClassifier::predict_batch(HvView queries) const {
 std::vector<double> OnlineHDClassifier::similarities_batch(
     HvView queries) const {
   if (queries.rows == 0) return {};
-  if (queries.dim != dim_) {
+  if (queries.dim != dim()) {
     throw std::invalid_argument("similarities_batch: dimension mismatch");
   }
-  const HvMatrix& classes = packed();
   const auto k = static_cast<std::size_t>(num_classes());
+  std::vector<double> norms_sq(k);
+  for (std::size_t c = 0; c < k; ++c) norms_sq[c] = norms_[c] * norms_[c];
   std::vector<double> sims(queries.rows * k);
-  ops::similarity_matrix(queries.data, queries.rows, classes.data(), k, dim_,
-                         sims.data(), packed_norms_sq_.data());
+  ops::similarity_matrix(queries.data, queries.rows, classes_.data(), k, dim(),
+                         sims.data(), norms_sq.data());
   return sims;
 }
 
@@ -197,51 +180,52 @@ double OnlineHDClassifier::accuracy(const HvDataset& data) const {
   return static_cast<double>(correct) / static_cast<double>(data.size());
 }
 
-const Hypervector& OnlineHDClassifier::class_vector(int c) const {
-  return classes_.at(static_cast<std::size_t>(c));
-}
-
-void OnlineHDClassifier::set_class_vector(int c, Hypervector hv) {
-  if (hv.dim() != dim_) {
+void OnlineHDClassifier::set_class_vector(int c, const Hypervector& hv) {
+  if (hv.dim() != dim()) {
     throw std::invalid_argument("set_class_vector: dimension mismatch");
   }
-  classes_.at(static_cast<std::size_t>(c)) = std::move(hv);
-  // The float value IS the new state: reset the wide counter to it exactly.
-  accum_.at(static_cast<std::size_t>(c))
-      .assign_from(classes_[static_cast<std::size_t>(c)].span());
-  refresh_norm(c);
+  // The float value IS the new state: reset the wide counter to it exactly
+  // (refresh then re-materializes the same floats).
+  accum_.at(static_cast<std::size_t>(c)).assign_from(hv.span());
+  refresh(c);
 }
 
 void OnlineHDClassifier::save(std::ostream& out) const {
-  const std::uint64_t d = dim_;
-  const std::uint64_t k = classes_.size();
+  const std::uint64_t d = dim();
+  const std::uint64_t k = classes_.rows();
   out.write(reinterpret_cast<const char*>(&d), sizeof(d));
   out.write(reinterpret_cast<const char*>(&k), sizeof(k));
-  for (const auto& c : classes_) {
-    out.write(reinterpret_cast<const char*>(c.data()),
-              static_cast<std::streamsize>(sizeof(float) * dim_));
-  }
+  out.write(reinterpret_cast<const char*>(classes_.data()),
+            static_cast<std::streamsize>(sizeof(float) * k * d));
 }
 
-OnlineHDClassifier OnlineHDClassifier::load(std::istream& in) {
+OnlineHDClassifier OnlineHDClassifier::load(std::istream& in,
+                                            int expect_classes,
+                                            std::size_t expect_dim) {
   std::uint64_t d = 0;
   std::uint64_t k = 0;
   in.read(reinterpret_cast<char*>(&d), sizeof(d));
   in.read(reinterpret_cast<char*>(&k), sizeof(k));
-  if (!in || d == 0 || k == 0) {
+  // Validate before allocating: the model holds a float mirror plus a double
+  // master per class, so a corrupt header must throw, not OOM.
+  if (!in || d == 0 || d > serial::kMaxDim || k == 0 ||
+      k > serial::kMaxClasses ||
+      !serial::within_model_bytes(k, d * (sizeof(float) + sizeof(double))) ||
+      (expect_classes != 0 && k != static_cast<std::uint64_t>(expect_classes)) ||
+      (expect_dim != 0 && d != expect_dim)) {
     throw std::runtime_error("OnlineHDClassifier::load: corrupt header");
   }
   OnlineHDClassifier model(static_cast<int>(k), static_cast<std::size_t>(d));
-  for (std::uint64_t c = 0; c < k; ++c) {
-    Hypervector hv(static_cast<std::size_t>(d));
-    in.read(reinterpret_cast<char*>(hv.data()),
-            static_cast<std::streamsize>(sizeof(float) * d));
-    if (!in) {
-      throw std::runtime_error("OnlineHDClassifier::load: truncated payload");
-    }
-    model.set_class_vector(static_cast<int>(c), std::move(hv));
+  in.read(reinterpret_cast<char*>(model.classes_.data()),
+          static_cast<std::streamsize>(sizeof(float) * k * d));
+  if (!in) {
+    throw std::runtime_error("OnlineHDClassifier::load: truncated payload");
   }
-  (void)model.packed();  // warm the batch cache (see fit)
+  for (int c = 0; c < model.num_classes(); ++c) {
+    model.accum_[static_cast<std::size_t>(c)].assign_from(
+        model.classes_.row(static_cast<std::size_t>(c)));
+    model.refresh(c);
+  }
   return model;
 }
 

@@ -46,13 +46,12 @@ struct OnlineHDConfig {
 /// mirrored to float for the similarity kernels: a model that lives through
 /// unbounded continual bootstrap/refine updates keeps learning instead of
 /// saturating float accumulation. Update decisions (δ, argmax) read the
-/// float mirror, so quantization and serving behavior are unchanged.
+/// float mirror — one [num_classes × dim] HvMatrix, the block the batch
+/// kernels read — so quantization and serving behavior are unchanged.
 ///
-/// Concurrency: const prediction methods are safe to call from multiple
-/// threads on a model produced by fit() or load() (the packed batch cache is
-/// warmed there). Updates (bootstrap/refine/set_class_vector) are not
-/// synchronized against readers; after direct updates, make one prediction
-/// call (or refit) before sharing the model across threads again.
+/// Concurrency: const methods only read, so a model may be shared across
+/// reader threads with no preparation step. Updates (fit/bootstrap/refine/
+/// set_class_vector) need exclusive access.
 class OnlineHDClassifier {
  public:
   /// Zero-initialized model. Throws std::invalid_argument when
@@ -60,9 +59,9 @@ class OnlineHDClassifier {
   OnlineHDClassifier(int num_classes, std::size_t dim);
 
   [[nodiscard]] int num_classes() const noexcept {
-    return static_cast<int>(classes_.size());
+    return static_cast<int>(classes_.rows());
   }
-  [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
+  [[nodiscard]] std::size_t dim() const noexcept { return classes_.dim(); }
 
   /// Full training: adaptive bootstrap pass + `config.epochs` refinement
   /// epochs over `train`. Returns per-epoch training accuracy (bootstrap
@@ -83,55 +82,50 @@ class OnlineHDClassifier {
   /// a batch of one.
   [[nodiscard]] std::vector<double> similarities(std::span<const float> hv) const;
 
-  /// Predicted class per query row: one blocked matrix kernel over the packed
-  /// class vectors instead of a per-query similarity loop.
+  /// Predicted class per query row: one blocked matrix kernel over the class
+  /// matrix instead of a per-query similarity loop.
   [[nodiscard]] std::vector<int> predict_batch(HvView queries) const;
 
   /// Row-major [queries.rows × num_classes] cosine similarity matrix
-  /// δ(Q_i, C_c), computed by ops::similarity_matrix against the packed class
-  /// vectors with cached norms.
+  /// δ(Q_i, C_c), computed by ops::similarity_matrix against the class matrix
+  /// with the cached norms.
   [[nodiscard]] std::vector<double> similarities_batch(HvView queries) const;
 
   /// Fraction of `data` classified correctly (batched: one matrix kernel over
   /// the whole dataset).
   [[nodiscard]] double accuracy(const HvDataset& data) const;
 
-  /// Class hypervector C_c (read-only).
-  [[nodiscard]] const Hypervector& class_vector(int c) const;
+  /// Class hypervector C_c: row c of the class matrix. Throws
+  /// std::out_of_range on a bad class.
+  [[nodiscard]] std::span<const float> class_vector(int c) const {
+    return classes_.at(static_cast<std::size_t>(c));
+  }
 
   /// Overwrite class hypervector C_c (used by model ensembling; re-syncs the
   /// cached norm).
-  void set_class_vector(int c, Hypervector hv);
+  void set_class_vector(int c, const Hypervector& hv);
 
   /// Binary serialization (dimension, class count, raw class vectors).
   void save(std::ostream& out) const;
-  static OnlineHDClassifier load(std::istream& in);
-
-  /// Rebuild the lazy batch cache now if it is stale. After this, const
-  /// prediction methods are safe from any number of threads until the next
-  /// update — the serving snapshot contract (DESIGN.md §9).
-  void warm_cache() const { (void)packed(); }
+  /// Throws std::runtime_error on a corrupt or truncated record. Before
+  /// allocating, the header is checked against the util/serial.hpp caps and,
+  /// where nonzero, `expect_classes` / `expect_dim` (an enclosing shape).
+  static OnlineHDClassifier load(std::istream& in, int expect_classes = 0,
+                                 std::size_t expect_dim = 0);
 
  private:
   [[nodiscard]] double cosine_to_class(std::span<const float> hv, double hv_norm,
                                        int c) const;
-  void refresh_norm(int c);
-  /// C_c += weight · hv on the double master, then re-materialize the float
-  /// mirror and its cached norm (the one write path of bootstrap/refine).
+  /// Re-materialize mirror row c from its double master and refresh its
+  /// cached norm.
+  void refresh(int c);
+  /// C_c += weight · hv on the double master, then refresh row c (the one
+  /// write path of bootstrap/refine).
   void update_class(int c, double weight, std::span<const float> hv);
-  /// Packed [num_classes × dim] class-vector block plus squared norms for the
-  /// batch kernels; rebuilt lazily after any class-vector update.
-  const HvMatrix& packed() const;
 
-  std::size_t dim_;
-  std::vector<Hypervector> classes_;     // float mirrors (query plane)
-  std::vector<WideAccumulator> accum_;   // double masters (update plane)
-  std::vector<double> norms_;  // cached ‖C_c‖, kept in sync with classes_
-  // Batch-path caches: contiguous class matrix and squared norms, invalidated
-  // by every update and repacked on the next batch call.
-  mutable HvMatrix packed_;
-  mutable std::vector<double> packed_norms_sq_;
-  mutable bool packed_stale_ = true;
+  HvMatrix classes_;                    // float mirror [C × d] (query plane)
+  std::vector<WideAccumulator> accum_;  // double masters (update plane)
+  std::vector<double> norms_;           // ‖C_c‖, refreshed with each row
 };
 
 }  // namespace smore

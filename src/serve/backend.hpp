@@ -25,10 +25,8 @@ class Pipeline;
 /// Float SmoreModel (cosine ensembling) behind the backend interface.
 class FloatBackend final : public InferenceBackend {
  public:
-  /// `model` must be non-null and trained; prepare_serving() must have run
-  /// if the backend will be shared across threads (ModelSnapshot::make
-  /// does). Throws std::invalid_argument on nullptr, std::logic_error when
-  /// untrained.
+  /// `model` must be non-null and trained. Throws std::invalid_argument on
+  /// nullptr, std::logic_error when untrained.
   explicit FloatBackend(std::shared_ptr<const SmoreModel> model);
 
   [[nodiscard]] SmoreBatchResult predict_batch_full(

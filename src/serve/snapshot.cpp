@@ -13,7 +13,6 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::make(
     SmoreModel model, bool quantize, std::uint64_t version,
     std::shared_ptr<const Encoder> encoder) {
   auto float_model = std::make_shared<const SmoreModel>(std::move(model));
-  float_model->prepare_serving();
   auto snap = std::make_shared<ModelSnapshot>();
   snap->version = version;
   snap->model = float_model;
@@ -29,7 +28,6 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::make(
     const Pipeline& pipeline, std::uint64_t version, bool prefer_packed) {
   auto float_model =
       std::make_shared<const SmoreModel>(pipeline.model().clone());
-  float_model->prepare_serving();
   auto snap = std::make_shared<ModelSnapshot>();
   snap->version = version;
   snap->model = float_model;
@@ -54,7 +52,6 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::make(
 std::shared_ptr<const ModelSnapshot> ModelSnapshot::next_generation(
     const ModelSnapshot& parent, SmoreModel model, std::uint64_t version) {
   auto float_model = std::make_shared<const SmoreModel>(std::move(model));
-  float_model->prepare_serving();
   auto snap = std::make_shared<ModelSnapshot>();
   snap->version = version;
   snap->model = float_model;

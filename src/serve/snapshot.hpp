@@ -45,11 +45,10 @@ struct ModelSnapshot {
   /// Never null after make().
   std::shared_ptr<const InferenceBackend> backend;
 
-  /// Build a snapshot from a trained model: runs prepare_serving() so every
-  /// lazy acceleration structure is materialized before the first concurrent
-  /// reader, sign-packs a BinarySmoreModel when `quantize` is set, and
-  /// installs the matching backend adapter. Throws std::logic_error when
-  /// `model` is untrained.
+  /// Build a snapshot from a trained model: sign-packs a BinarySmoreModel
+  /// when `quantize` is set and installs the matching backend adapter. A
+  /// trained model is ready for concurrent readers as it is (DESIGN.md §9).
+  /// Throws std::logic_error when `model` is untrained.
   static std::shared_ptr<const ModelSnapshot> make(
       SmoreModel model, bool quantize, std::uint64_t version,
       std::shared_ptr<const Encoder> encoder = nullptr);

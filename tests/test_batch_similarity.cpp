@@ -115,7 +115,7 @@ TEST_F(BatchModelTest, OnlineHdBatchMatchesScalar) {
       const double s = cosine_similarity(
           Hypervector(std::vector<float>(holdout_.row(i).begin(),
                                          holdout_.row(i).end())),
-          model.class_vector(c));
+          Hypervector(model.class_vector(c)));
       EXPECT_NEAR(sims[i * kClasses + static_cast<std::size_t>(c)], s, kTol);
       if (s > best) {
         best = s;
@@ -228,9 +228,10 @@ TEST_F(BatchModelTest, BatchCachesFollowContinualUpdates) {
   SmoreModel model(kClasses, kDim);
   model.fit(data_);
   const std::vector<int> before = model.predict_batch(holdout_.view());
-  // Absorb a labeled sample into a brand-new domain: every packed cache
-  // (descriptors, evaluator) must refresh before the next batch call.
-  model.absorb_labeled(holdout_.row(0), holdout_.label(0), 99);
+  // Absorb a labeled sample into a brand-new domain: the descriptor matrix
+  // and the evaluator must reflect it on the very next batch call.
+  model.absorb_labeled(holdout_.view().slice(0, 1),
+                       std::vector<int>{holdout_.label(0)}, std::vector<int>{99});
   const std::vector<int> after = model.predict_batch(holdout_.view());
   ASSERT_EQ(after.size(), holdout_.size());
   for (std::size_t i = 0; i < holdout_.size(); ++i) {

@@ -252,7 +252,7 @@ TEST(BinarySmoreModel, PackedEntitiesAndFootprint) {
   EXPECT_EQ(binary.footprint_bytes(), expected);
   // Packed bits must equal the scalar quantization of the float prototypes.
   for (std::size_t k = 0; k < model.num_domains(); ++k) {
-    const BinaryVector ref(model.descriptors().descriptor(k).span());
+    const BinaryVector ref(model.descriptors().descriptor(k));
     for (std::size_t w = 0; w < binary.descriptor_bits().words_per_row(); ++w) {
       ASSERT_EQ(binary.descriptor_bits().row(k)[w], ref.words()[w]);
     }

@@ -43,7 +43,7 @@ TEST(DomainDescriptor, DescriptorIsBundleOfDomainRows) {
   for (std::size_t j = 0; j < 64; ++j) {
     expected[j] = static_cast<float>(acc[j]);
   }
-  EXPECT_EQ(bank.descriptor(1), expected);
+  EXPECT_EQ(Hypervector(bank.descriptor(1)), expected);
 }
 
 TEST(DomainDescriptor, MembersMoreSimilarThanOutsiders) {
@@ -104,7 +104,8 @@ TEST(DomainDescriptor, AbsorbIncrementalMatchesBatch) {
   }
   ASSERT_EQ(streaming.size(), batch.size());
   for (std::size_t k = 0; k < batch.size(); ++k) {
-    EXPECT_EQ(streaming.descriptor(k), batch.descriptor(k));
+    EXPECT_EQ(Hypervector(streaming.descriptor(k)),
+              Hypervector(batch.descriptor(k)));
   }
 }
 

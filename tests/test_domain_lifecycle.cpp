@@ -119,9 +119,11 @@ TEST(DomainLifecycle, AbsorbOrderCannotChangeTheDescriptor) {
   for (std::size_t i = rows.rows(); i-- > 0;) {
     backward.absorb(rows.row(i), /*domain_id=*/7);
   }
-  batched.absorb_batch(rows.view(), /*domain_id=*/7);
-  EXPECT_EQ(forward.descriptor(0), backward.descriptor(0));
-  EXPECT_EQ(forward.descriptor(0), batched.descriptor(0));
+  batched.absorb(rows.view(), std::vector<int>(rows.rows(), /*domain_id=*/7));
+  EXPECT_EQ(Hypervector(forward.descriptor(0)),
+            Hypervector(backward.descriptor(0)));
+  EXPECT_EQ(Hypervector(forward.descriptor(0)),
+            Hypervector(batched.descriptor(0)));
   EXPECT_EQ(forward.sample_count(0), 64u);
   EXPECT_EQ(batched.sample_count(0), 64u);
 }
@@ -132,8 +134,9 @@ TEST(DomainLifecycle, EvictNeverPerturbsSurvivors) {
   model.fit(data);
   ASSERT_EQ(model.num_domains(), 4u);
 
+  using Positions = std::vector<std::size_t>;
   const SmoreModel original = model.clone();
-  model.remove_domain(1);
+  model.remove_domains(Positions{1});
 
   ASSERT_EQ(model.num_domains(), 3u);
   const std::vector<std::size_t> survivors = {0, 2, 3};
@@ -141,23 +144,29 @@ TEST(DomainLifecycle, EvictNeverPerturbsSurvivors) {
     const std::size_t was = survivors[pos];
     EXPECT_EQ(model.descriptors().domain_id(pos),
               original.descriptors().domain_id(was));
-    EXPECT_EQ(model.descriptors().descriptor(pos),
-              original.descriptors().descriptor(was));
+    EXPECT_EQ(Hypervector(model.descriptors().descriptor(pos)),
+              Hypervector(original.descriptors().descriptor(was)));
     EXPECT_EQ(model.descriptors().sample_count(pos),
               original.descriptors().sample_count(was));
     for (int c = 0; c < 3; ++c) {
-      EXPECT_EQ(model.domain_model(pos).class_vector(c),
-                original.domain_model(was).class_vector(c));
+      EXPECT_EQ(Hypervector(model.domain_model(pos).class_vector(c)),
+                Hypervector(original.domain_model(was).class_vector(c)));
     }
   }
   // The shrunk ensemble still serves.
   EXPECT_NO_THROW((void)model.predict(data.row(0)));
 
-  EXPECT_THROW(model.remove_domain(99), std::out_of_range);
-  model.remove_domain(0);
-  model.remove_domain(0);
+  // Bad batches throw before removing anything.
+  EXPECT_THROW(model.remove_domains(Positions{99}), std::out_of_range);
+  EXPECT_THROW(model.remove_domains(Positions{0, 0}), std::invalid_argument);
+  EXPECT_THROW(model.remove_domains(Positions{0, 1, 2}), std::logic_error);
+  ASSERT_EQ(model.num_domains(), 3u);
+  // One batch, in any order, drops exactly the named positions.
+  model.remove_domains(Positions{2, 0});
   ASSERT_EQ(model.num_domains(), 1u);
-  EXPECT_THROW(model.remove_domain(0), std::logic_error);  // never the last
+  EXPECT_EQ(model.descriptors().domain_id(0),
+            original.descriptors().domain_id(2));
+  EXPECT_THROW(model.remove_domains(Positions{0}), std::logic_error);  // never the last
 }
 
 // ---------------------------------------------------------------------------
@@ -320,9 +329,8 @@ TEST(DomainLifecycle, EnrollEveryRoundConfigMatchesTheLegacyLoop) {
 
     const std::vector<int>& ids = legacy.descriptors().domain_ids();
     const int new_id = *std::max_element(ids.begin(), ids.end()) + 1;
-    for (std::size_t i = 0; i < rows.rows(); ++i) {
-      legacy.absorb_labeled(rows.row(i), labels[i], new_id);
-    }
+    legacy.absorb_labeled(rows.view(), labels,
+                          std::vector<int>(rows.rows(), new_id));
     const LifecycleRoundStats stats =
         engine.run_round(bounded, rows.view(), labels);
 
@@ -367,7 +375,7 @@ TEST(DomainLifecycle, LifecycleStateRoundTripsThroughSerialization) {
   for (std::size_t k = 0; k < a.size(); ++k) {
     EXPECT_EQ(a.domain_id(k), b.domain_id(k));
     EXPECT_EQ(a.sample_count(k), b.sample_count(k));
-    EXPECT_EQ(a.descriptor(k), b.descriptor(k));
+    EXPECT_EQ(Hypervector(a.descriptor(k)), Hypervector(b.descriptor(k)));
     EXPECT_EQ(a.meta(k).enrolled_round, b.meta(k).enrolled_round);
     EXPECT_EQ(a.meta(k).last_used_round, b.meta(k).last_used_round);
     EXPECT_EQ(a.meta(k).merge_count, b.meta(k).merge_count);
@@ -380,8 +388,8 @@ TEST(DomainLifecycle, LifecycleStateRoundTripsThroughSerialization) {
   const int id = a.domain_id(0);
   model.descriptors().absorb(extra.row(0), id);
   loaded.descriptors().absorb(extra.row(0), id);
-  EXPECT_EQ(model.descriptors().descriptor(0),
-            loaded.descriptors().descriptor(0));
+  EXPECT_EQ(Hypervector(model.descriptors().descriptor(0)),
+            Hypervector(loaded.descriptors().descriptor(0)));
 }
 
 // ---------------------------------------------------------------------------

@@ -33,8 +33,8 @@ def main():
                         f"{output}")
 
     fixtures = sorted(p for p in FIXTURES.iterdir() if p.is_dir())
-    if len(fixtures) < 5:
-        failures.append(f"expected >= 5 fixtures (one per rule), found "
+    if len(fixtures) < 6:
+        failures.append(f"expected >= 6 fixtures (one per rule), found "
                         f"{len(fixtures)}")
     seen_rules = set()
     for fixture in fixtures:
@@ -47,7 +47,8 @@ def main():
         elif expected_rule not in output:
             failures.append(f"{fixture.name}: expected {expected_rule} in "
                             f"output, got:\n{output}")
-    missing = {"INV-A", "INV-B", "INV-C", "INV-D", "INV-E"} - seen_rules
+    missing = {"INV-A", "INV-B", "INV-C", "INV-D", "INV-E", "INV-F"} - \
+        seen_rules
     if missing:
         failures.append(f"rules with no fixture: {sorted(missing)}")
 

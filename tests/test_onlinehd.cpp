@@ -29,7 +29,7 @@ TEST(OnlineHD, BootstrapPullsClassVectorTowardSample) {
   EXPECT_GT(model.class_vector(1)[0], 0.9f);
   EXPECT_LT(model.class_vector(1)[1], -0.9f);
   // Untouched class stays zero.
-  EXPECT_DOUBLE_EQ(model.class_vector(0).norm(), 0.0);
+  EXPECT_DOUBLE_EQ(Hypervector(model.class_vector(0)).norm(), 0.0);
 }
 
 TEST(OnlineHD, BootstrapAdaptiveWeightShrinks) {
@@ -37,9 +37,9 @@ TEST(OnlineHD, BootstrapAdaptiveWeightShrinks) {
   OnlineHDClassifier model(1, 64);
   std::vector<float> hv(64, 1.0f);
   model.bootstrap(hv, 0);
-  const double n1 = model.class_vector(0).norm();
+  const double n1 = Hypervector(model.class_vector(0)).norm();
   model.bootstrap(hv, 0);
-  const double n2 = model.class_vector(0).norm();
+  const double n2 = Hypervector(model.class_vector(0)).norm();
   EXPECT_NEAR(n2, n1, 1e-3 * n1);
 }
 
@@ -48,9 +48,9 @@ TEST(OnlineHD, RefineCorrectSampleIsNoop) {
   std::vector<float> hv(32, 0.0f);
   hv[0] = 1.0f;
   model.bootstrap(hv, 0);
-  const Hypervector before = model.class_vector(0);
+  const Hypervector before(model.class_vector(0));
   EXPECT_TRUE(model.refine(hv, 0, 0.1f));  // already correct
-  EXPECT_EQ(model.class_vector(0), before);
+  EXPECT_EQ(Hypervector(model.class_vector(0)), before);
 }
 
 TEST(OnlineHD, RefineMispredictionMovesBothClasses) {
@@ -132,7 +132,7 @@ TEST(OnlineHD, DeterministicGivenSeed) {
   const auto h2 = m2.fit(data, cfg);
   EXPECT_EQ(h1, h2);
   for (int c = 0; c < 3; ++c) {
-    EXPECT_EQ(m1.class_vector(c), m2.class_vector(c));
+    EXPECT_EQ(Hypervector(m1.class_vector(c)), Hypervector(m2.class_vector(c)));
   }
 }
 

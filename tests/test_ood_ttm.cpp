@@ -141,8 +141,8 @@ TEST_F(TtmTest, MaterializedEnsembleIsWeightedSum) {
   const TestTimeModel ttm(ptrs_, w);
   for (int c = 0; c < 3; ++c) {
     Hypervector expected(512);
-    expected.add_scaled(models_[0]->class_vector(c), 0.25f);
-    expected.add_scaled(models_[1]->class_vector(c), 0.75f);
+    expected.add_scaled(Hypervector(models_[0]->class_vector(c)), 0.25f);
+    expected.add_scaled(Hypervector(models_[1]->class_vector(c)), 0.75f);
     EXPECT_EQ(ttm.class_vector(c), expected);
   }
 }

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <sstream>
@@ -35,7 +36,8 @@ TEST(DescriptorSerialization, RoundTripPreservesEverything) {
   for (std::size_t k = 0; k < bank.size(); ++k) {
     EXPECT_EQ(loaded.domain_id(k), bank.domain_id(k));
     EXPECT_EQ(loaded.sample_count(k), bank.sample_count(k));
-    EXPECT_EQ(loaded.descriptor(k), bank.descriptor(k));
+    EXPECT_EQ(Hypervector(loaded.descriptor(k)),
+              Hypervector(bank.descriptor(k)));
   }
   // Similarities must be identical.
   const auto s1 = bank.similarities(data.row(0));
@@ -162,6 +164,107 @@ TEST_F(SmoreSerializationTest, BinaryModelTruncatedPayloadThrows) {
   const std::string full = buffer.str();
   std::stringstream truncated(full.substr(0, full.size() / 2));
   EXPECT_THROW(BinarySmoreModel::load(truncated), std::runtime_error);
+}
+
+// ---------------------------------------------------------------------------
+// Crafted headers: every loader checks its header against the util/serial.hpp
+// caps, and an inner record against the enclosing record's shape, before it
+// allocates. Oversized fields are 2^62 — beyond vector::max_size(), so not
+// even a loader that skipped those checks could allocate them.
+
+constexpr std::uint64_t kHuge = std::uint64_t{1} << 62;
+
+// SmoreModel record: magic, version (u32 each), classes (i32), dim (u64),
+// δ* (f64), weight mode (i32), domains (u64); then one OnlineHD record per
+// domain — dim (u64), classes (u64), floats — then the descriptor bank:
+// magic, version (u32 each), K (u64), dim (u64), ...
+constexpr std::size_t kSmoreClassesAt = 8;
+constexpr std::size_t kSmoreDimAt = 12;
+constexpr std::size_t kSmoreDomainsAt = 32;
+constexpr std::size_t kSmoreHeaderBytes = 40;
+constexpr std::size_t kBankDomainsAt = 8;
+constexpr std::size_t kBankDimAt = 16;
+
+template <typename T>
+void patch(std::string& bytes, std::size_t offset, T value) {
+  ASSERT_LE(offset + sizeof(value), bytes.size());
+  std::memcpy(bytes.data() + offset, &value, sizeof(value));
+}
+
+TEST_F(SmoreSerializationTest, DomainModelHeaderBeyondTheCapsThrows) {
+  std::stringstream buffer;
+  model_->domain_model(0).save(buffer);
+  const std::string record = buffer.str();
+  for (const std::size_t field : {0u, 8u}) {  // dim, class count
+    std::string crafted = record;
+    patch(crafted, field, kHuge);
+    std::stringstream in(crafted);
+    EXPECT_THROW(OnlineHDClassifier::load(in), std::runtime_error) << field;
+  }
+}
+
+TEST_F(SmoreSerializationTest, DescriptorBankHeaderBeyondTheCapsThrows) {
+  std::stringstream buffer;
+  model_->descriptors().save(buffer);
+  const std::string record = buffer.str();
+  for (const std::size_t field : {kBankDomainsAt, kBankDimAt}) {
+    std::string crafted = record;
+    patch(crafted, field, kHuge);
+    std::stringstream in(crafted);
+    EXPECT_THROW(DomainDescriptorBank::load(in), std::runtime_error) << field;
+  }
+}
+
+TEST_F(SmoreSerializationTest, ModelHeaderBeyondTheCapsThrows) {
+  std::stringstream buffer;
+  model_->save(buffer);
+  // Only the header is kept: the loader must throw before it reads (or
+  // allocates for) any domain record.
+  const std::string header = buffer.str().substr(0, kSmoreHeaderBytes);
+  struct Shape {
+    std::int32_t classes;
+    std::uint64_t dim;
+    std::uint64_t domains;
+  };
+  const Shape shapes[] = {
+      {3, kHuge, 3},
+      {3, 256, kHuge},
+      {(1 << 20) + 1, 256, 3},
+      // Every field within its cap, the total far above 1 GiB.
+      {1 << 20, std::uint64_t{1} << 24, std::uint64_t{1} << 20},
+  };
+  for (const Shape& shape : shapes) {
+    std::string crafted = header;
+    patch(crafted, kSmoreClassesAt, shape.classes);
+    patch(crafted, kSmoreDimAt, shape.dim);
+    patch(crafted, kSmoreDomainsAt, shape.domains);
+    std::stringstream in(crafted);
+    EXPECT_THROW(SmoreModel::load(in), std::runtime_error)
+        << shape.classes << " " << shape.dim << " " << shape.domains;
+  }
+}
+
+TEST_F(SmoreSerializationTest, InnerRecordMustMatchTheModelHeader) {
+  std::stringstream buffer;
+  model_->save(buffer);
+  const std::string full = buffer.str();
+  const std::size_t domain_record = 16 + 3 * 256 * sizeof(float);
+  const std::size_t bank_at =
+      kSmoreHeaderBytes + model_->num_domains() * domain_record;
+  // The first domain model's dim, then the bank's dim, beyond the caps while
+  // the enclosing header still says 256.
+  for (const std::size_t field : {kSmoreHeaderBytes, bank_at + kBankDimAt}) {
+    std::string crafted = full;
+    patch(crafted, field, kHuge);
+    std::stringstream in(crafted);
+    EXPECT_THROW(SmoreModel::load(in), std::runtime_error) << field;
+  }
+  // A domain model well within the caps whose class count disagrees with
+  // the header (4 under a 3-class model).
+  std::string crafted = full;
+  patch(crafted, kSmoreHeaderBytes + 8, std::uint64_t{4});
+  std::stringstream in(crafted);
+  EXPECT_THROW(SmoreModel::load(in), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -319,8 +422,9 @@ TEST_F(PipelineSerializationTest, SaveRejectsAStaleQuantization) {
   // Mutating the float model after quantize() (here: absorbing a new
   // domain) must not persist an artifact whose two backends disagree.
   const HvDataset encoded = pipeline_->encode(windows_);
-  pipeline_->model().absorb_labeled(encoded.row(0), encoded.label(0),
-                                    /*domain_id=*/999);
+  pipeline_->model().absorb_labeled(encoded.view().slice(0, 1),
+                                    std::vector<int>{encoded.label(0)},
+                                    /*domain_ids=*/std::vector<int>{999});
   std::stringstream buffer;
   EXPECT_THROW(pipeline_->save(buffer), std::logic_error);
   pipeline_->quantize();               // refresh the weights…
@@ -328,6 +432,26 @@ TEST_F(PipelineSerializationTest, SaveRejectsAStaleQuantization) {
   std::stringstream ok;
   pipeline_->save(ok);
   EXPECT_TRUE(Pipeline::load(ok).quantized());
+}
+
+TEST_F(PipelineSerializationTest, ModelSectionRecordBeyondTheCapsThrows) {
+  // The section length is only checked after the model parser returns, so
+  // the parser itself must reject the record before allocating for it.
+  std::string full = artifact();
+  std::size_t at = 12;  // first section header
+  for (;;) {
+    ASSERT_LT(at + 12, full.size());
+    std::uint32_t id = 0;
+    std::uint64_t length = 0;
+    std::memcpy(&id, full.data() + at, sizeof(id));
+    std::memcpy(&length, full.data() + at + 4, sizeof(length));
+    if (id == kSectionModel) break;
+    at += 12 + static_cast<std::size_t>(length);
+  }
+  // The first domain model's dim.
+  patch(full, at + 12 + kSmoreHeaderBytes, kHuge);
+  std::stringstream in(full);
+  EXPECT_THROW(Pipeline::load(in), std::runtime_error);
 }
 
 TEST_F(PipelineSerializationTest, MissingModelSectionThrows) {

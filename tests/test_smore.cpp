@@ -141,12 +141,26 @@ TEST(Smore, CalibrateDeltaStarValidates) {
 TEST(Smore, AbsorbLabeledValidates) {
   SmoreModel model(3, 64);
   const std::vector<float> hv(64, 1.0f);
-  EXPECT_THROW(model.absorb_labeled(hv, 0, 0), std::logic_error);
+  const HvView row(hv);
+  const std::vector<int> zero{0};
+  EXPECT_THROW(model.absorb_labeled(row, zero, zero), std::logic_error);
   const HvDataset data = separable_hv_dataset(3, 2, 10, 64);
   model.fit(data);
   const std::vector<float> bad_dim(32, 1.0f);
-  EXPECT_THROW(model.absorb_labeled(bad_dim, 0, 0), std::invalid_argument);
-  EXPECT_THROW(model.absorb_labeled(hv, 9, 0), std::invalid_argument);
+  EXPECT_THROW(model.absorb_labeled(HvView(bad_dim), zero, zero),
+               std::invalid_argument);
+  EXPECT_THROW(model.absorb_labeled(row, std::vector<int>{9}, zero),
+               std::invalid_argument);
+  EXPECT_THROW(model.absorb_labeled(row, std::vector<int>{}, zero),
+               std::invalid_argument);
+  // A bad label anywhere in the block rejects the whole block up front: the
+  // new domain of its first row is never created.
+  const std::vector<float> two(128, 1.0f);
+  EXPECT_THROW(model.absorb_labeled(HvView(two.data(), 2, 64),
+                                    std::vector<int>{0, 9},
+                                    std::vector<int>{5, 5}),
+               std::invalid_argument);
+  EXPECT_EQ(model.num_domains(), 2u);
 }
 
 TEST(Smore, AbsorbLabeledUpdatesExistingDomain) {
@@ -157,10 +171,9 @@ TEST(Smore, AbsorbLabeledUpdatesExistingDomain) {
   // Drift domain 1 with fresh labeled samples; the model must keep working
   // and keep its domain count.
   const HvDataset extra = separable_hv_dataset(3, 2, 5, 256, 0.6, 0.4, 99);
-  for (std::size_t i = 0; i < extra.size(); ++i) {
-    if (extra.domain(i) != 1) continue;
-    model.absorb_labeled(extra.row(i), extra.label(i), 1);
-  }
+  const HvDataset drift = extra.select(extra.indices_of_domain(1));
+  model.absorb_labeled(drift.view(), drift.labels(),
+                       std::vector<int>(drift.size(), 1));
   EXPECT_EQ(model.num_domains(), domains_before);
   EXPECT_GT(model.accuracy(data), 0.8);  // no catastrophic forgetting
 }
@@ -176,9 +189,11 @@ TEST(Smore, AbsorbLabeledCreatesNewDomain) {
   EXPECT_EQ(model.num_domains(), 2u);
 
   const HvDataset new_domain = data.select(new_idx);
-  for (std::size_t i = 0; i + 10 < new_domain.size(); ++i) {
-    model.absorb_labeled(new_domain.row(i), new_domain.label(i), 2);
-  }
+  const std::size_t head = new_domain.size() - 10;
+  model.absorb_labeled(
+      new_domain.view().slice(0, head),
+      std::span<const int>(new_domain.labels()).first(head),
+      std::vector<int>(head, 2));
   EXPECT_EQ(model.num_domains(), 3u);
   // The held-back tail of the new domain must classify correctly now.
   std::size_t correct = 0;

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-invariant linter: contracts no off-the-shelf tool knows (DESIGN.md §15).
 
-Five rules, each a build failure in the static-analysis CI job:
+Six rules, each a build failure in the static-analysis CI job:
 
   INV-A  arch confinement   Arch-specific intrinsics, arch test macros, and
                             per-file -march/-m<ext> flags stay inside
@@ -28,6 +28,11 @@ Five rules, each a build failure in the static-analysis CI job:
                             is wrapper-internals-only.
   INV-E  include hygiene    Every header starts with #pragma once; no
                             parent-relative ("../") includes; no <bits/...>.
+  INV-F  no mutable state   No `mutable` data member in a src/core/ or
+                            src/hdc/ header: a const model or bank only
+                            reads, so sharing it across threads needs no
+                            preparation step. The encoders' lazily grown
+                            bases are allowlisted.
 
 Allowlist changes ride in the PR that needs them, next to the justifying
 comment in this file — see DESIGN.md §15 "changing an invariant".
@@ -84,6 +89,13 @@ BARE_THREAD_FILES = {
 }
 NO_ANALYSIS_FILES = {"src/util/annotations.hpp", "src/util/mutex.hpp"}
 
+# INV-F: model and bank headers. The two encoders grow their basis lazily
+# from const encode calls, keyed on a window shape known only at the first
+# call: MultiSensorEncoder grows it under basis_mutex_, ProjectionEncoder
+# under std::call_once, and each documents that contract at the field site.
+MUTABLE_DIRS = ("src/core/", "src/hdc/")
+MUTABLE_FILES = {"src/hdc/encoder.hpp", "src/hdc/projection_encoder.hpp"}
+
 # ----------------------------------------------------------------- scanning
 
 INTRINSIC_RE = re.compile(
@@ -104,6 +116,9 @@ BARE_THREAD_RE = re.compile(r"std\s*::\s*thread\b(?!\s*::)")
 NO_ANALYSIS_RE = re.compile(r"\bSMORE_NO_THREAD_SAFETY_ANALYSIS\b")
 PARENT_INCLUDE_RE = re.compile(r"#\s*include\s*\"\.\./")
 BITS_INCLUDE_RE = re.compile(r"#\s*include\s*<bits/")
+# A declaration that starts with `mutable` (lambdas put it after the
+# parameter list, never first on a line).
+MUTABLE_MEMBER_RE = re.compile(r"^[ \t]*mutable\b", re.MULTILINE)
 # A top-level definition in clang-format'd sources starts at column 0 with an
 # identifier character; preprocessor lines, braces, and namespace/using
 # scaffolding do not open a new function segment.
@@ -279,6 +294,17 @@ def rule_e(rel, stripped, raw):
     return out
 
 
+def rule_f(rel, stripped):
+    if not (rel.startswith(MUTABLE_DIRS) and rel.endswith(".hpp")) or \
+            rel in MUTABLE_FILES:
+        return []
+    return findings_for_pattern(
+        MUTABLE_MEMBER_RE, stripped, rel, "INV-F",
+        "mutable data member in a model header: a const model must only "
+        "read, so build derived state in the mutating call that "
+        "invalidates it")
+
+
 # --------------------------------------------------------------------- main
 
 
@@ -296,6 +322,7 @@ def run(root: Path):
         findings += rule_c(rel, stripped)
         findings += rule_d(rel, stripped)
         findings += rule_e(rel, stripped, raw)
+        findings += rule_f(rel, stripped)
     findings += rule_a_cmake(root)
     return findings
 
