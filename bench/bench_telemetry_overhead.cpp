@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> tenants;
   for (std::size_t t = 0; t < tenants_n; ++t) {
-    tenants.push_back("t" + std::to_string(t));
+    tenants.push_back(std::string(1, 't') += std::to_string(t));
   }
 
   const HvMatrix queries = bench::make_queries(train, rng);

@@ -15,13 +15,13 @@ LifecycleRoundStats DomainLifecycle::run_round(
         "DomainLifecycle::run_round: samples/labels size mismatch");
   }
   LifecycleRoundStats stats;
-  DomainDescriptorBank& bank = model.descriptors();
+  const DomainDescriptorBank& bank = model.descriptors();
 
   // 1. Clock tick + usage credit + decay. Credit BEFORE decay so this
   // round's traffic is dampened once by the next round, not immediately.
-  bank.advance_round();
-  for (const auto& [id, amount] : usage) bank.note_usage(id, amount);
-  bank.decay_usage(config_.usage_decay);
+  model.advance_round();
+  for (const auto& [id, amount] : usage) model.note_usage(id, amount);
+  model.decay_usage(config_.usage_decay);
 
   // 2-3. Cluster the round and route each cluster: merge into the most
   // similar existing descriptor when close enough, else enroll fresh.
@@ -77,12 +77,12 @@ LifecycleRoundStats DomainLifecycle::run_round(
     // Credit the round's own domains so a just-touched domain is not the
     // immediate eviction victim, and stamp merge counters.
     for (std::size_t c = 0; c < clusters.k; ++c) {
-      bank.note_usage(target_ids[c], static_cast<double>(clusters.sizes[c]));
+      model.note_usage(target_ids[c], static_cast<double>(clusters.sizes[c]));
       if (is_merge[c]) {
         const auto& ids = bank.domain_ids();
         for (std::size_t k = 0; k < ids.size(); ++k) {
           if (ids[k] == target_ids[c]) {
-            bank.note_merge(k);
+            model.note_merge(k);
             break;
           }
         }

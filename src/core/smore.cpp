@@ -41,23 +41,38 @@ std::vector<double> SmoreModel::fit(const HvDataset& train) {
     const auto idx = train.indices_of_domain(domain_id);
     const HvDataset domain_data = train.select(idx);
 
-    OnlineHDClassifier model(num_classes_, dim_);
-    const auto history = model.fit(domain_data, config_.domain_model);
+    auto model = std::make_shared<OnlineHDClassifier>(num_classes_, dim_);
+    const auto history = model->fit(domain_data, config_.domain_model);
     final_accuracy.push_back(history.empty() ? 0.0 : history.back());
     models_.push_back(std::move(model));
   }
 
   // Precompute the Gram matrices for materialization-free ensembling.
-  rebuild_evaluator();
+  rebuild_evaluator({});
 
   return final_accuracy;
 }
 
-void SmoreModel::rebuild_evaluator() {
+void SmoreModel::rebuild_evaluator(
+    const std::vector<std::shared_ptr<const OnlineHDClassifier>>& previous) {
   std::vector<const OnlineHDClassifier*> ptrs;
   ptrs.reserve(models_.size());
-  for (const auto& m : models_) ptrs.push_back(&m);
-  evaluator_ = std::make_unique<EnsembleEvaluator>(ptrs);
+  for (const auto& m : models_) ptrs.push_back(m.get());
+  // Positions only shift (sorted ids; inserts and removals keep order), so
+  // one forward scan finds each surviving model's previous position.
+  std::vector<std::size_t> previous_position(models_.size(),
+                                             EnsembleEvaluator::kChanged);
+  std::size_t j = 0;
+  for (std::size_t i = 0; i < models_.size(); ++i) {
+    std::size_t p = j;
+    while (p < previous.size() && previous[p] != models_[i]) ++p;
+    if (p < previous.size()) {
+      previous_position[i] = p;
+      j = p + 1;
+    }
+  }
+  evaluator_ = std::make_shared<const EnsembleEvaluator>(
+      ptrs, previous.empty() ? nullptr : evaluator_.get(), previous_position);
 }
 
 void SmoreModel::absorb_labeled(HvView rows, std::span<const int> labels,
@@ -78,23 +93,33 @@ void SmoreModel::absorb_labeled(HvView rows, std::span<const int> labels,
     }
   }
   // The bank creates descriptors for new ids at their sorted positions;
-  // insert a fresh domain model at each of them so positions stay aligned.
+  // a fresh domain model goes in at each of them so positions stay aligned.
+  // Models may be shared with other generations, so a domain a row lands in
+  // is written only through a private copy (or its fresh model), made once.
+  const auto previous = models_;
   const std::vector<int> before = descriptors_.domain_ids();
   descriptors_.absorb(rows, domain_ids);
   const std::vector<int>& ids = descriptors_.domain_ids();
+  std::vector<std::shared_ptr<OnlineHDClassifier>> writable(ids.size());
   for (std::size_t pos = 0; pos < ids.size(); ++pos) {
     if (!std::binary_search(before.begin(), before.end(), ids[pos])) {
+      writable[pos] = std::make_shared<OnlineHDClassifier>(num_classes_, dim_);
       models_.insert(models_.begin() + static_cast<std::ptrdiff_t>(pos),
-                     OnlineHDClassifier(num_classes_, dim_));
+                     writable[pos]);
     }
   }
   for (std::size_t i = 0; i < rows.rows; ++i) {
     const auto it = std::lower_bound(ids.begin(), ids.end(), domain_ids[i]);
-    OnlineHDClassifier& m = models_[static_cast<std::size_t>(it - ids.begin())];
-    m.bootstrap(rows.row(i), labels[i]);
-    m.refine(rows.row(i), labels[i], config_.domain_model.learning_rate);
+    const auto pos = static_cast<std::size_t>(it - ids.begin());
+    if (!writable[pos]) {
+      writable[pos] = std::make_shared<OnlineHDClassifier>(*models_[pos]);
+      models_[pos] = writable[pos];
+    }
+    writable[pos]->bootstrap(rows.row(i), labels[i]);
+    writable[pos]->refine(rows.row(i), labels[i],
+                          config_.domain_model.learning_rate);
   }
-  rebuild_evaluator();
+  rebuild_evaluator(previous);
 }
 
 void SmoreModel::remove_domains(std::span<const std::size_t> positions) {
@@ -106,12 +131,13 @@ void SmoreModel::remove_domains(std::span<const std::size_t> positions) {
         "SmoreModel::remove_domains: cannot evict the last domain");
   }
   descriptors_.remove(positions);  // validates every position first
+  const auto previous = models_;
   std::vector<bool> drop(models_.size(), false);
   for (const std::size_t k : positions) drop[k] = true;
   for (std::size_t k = models_.size(); k-- > 0;) {
     if (drop[k]) models_.erase(models_.begin() + static_cast<std::ptrdiff_t>(k));
   }
-  rebuild_evaluator();
+  rebuild_evaluator(previous);
 }
 
 SmorePrediction SmoreModel::predict_detail(std::span<const float> hv) const {
@@ -286,7 +312,7 @@ void SmoreModel::save(std::ostream& out) const {
   out.write(reinterpret_cast<const char*>(&delta), sizeof(delta));
   out.write(reinterpret_cast<const char*>(&mode), sizeof(mode));
   out.write(reinterpret_cast<const char*>(&domains), sizeof(domains));
-  for (const auto& model : models_) model.save(out);
+  for (const auto& model : models_) model->save(out);
   descriptors_.save(out);
 }
 
@@ -324,11 +350,12 @@ SmoreModel SmoreModel::load(std::istream& in) {
   config.weight_mode = static_cast<WeightMode>(mode);
   SmoreModel model(classes, static_cast<std::size_t>(dim), config);
   for (std::uint64_t k = 0; k < domains; ++k) {
-    model.models_.push_back(OnlineHDClassifier::load(in, classes, model.dim_));
+    model.models_.push_back(std::make_shared<const OnlineHDClassifier>(
+        OnlineHDClassifier::load(in, classes, model.dim_)));
   }
   model.descriptors_ = DomainDescriptorBank::load(
       in, static_cast<std::size_t>(domains), model.dim_);
-  model.rebuild_evaluator();
+  model.rebuild_evaluator({});
   return model;
 }
 
@@ -337,13 +364,13 @@ SmoreModel SmoreModel::clone() const {
     throw std::logic_error("SmoreModel::clone before fit");
   }
   // config_ carries the current δ* (set_delta_star keeps it in sync), so the
-  // constructor rebuilds an identical detector.
+  // constructor rebuilds an identical detector. The domain models and the
+  // evaluator are immutable: share them. Only the bank, whose lifecycle
+  // metadata every round writes, is copied.
   SmoreModel out(num_classes_, dim_, config_);
   out.descriptors_ = descriptors_;
   out.models_ = models_;
-  // The evaluator holds copies, not references: equal class vectors, equal
-  // evaluator — copy it instead of recomputing the Gram matrices.
-  out.evaluator_ = std::make_unique<EnsembleEvaluator>(*evaluator_);
+  out.evaluator_ = evaluator_;
   return out;
 }
 
@@ -358,7 +385,7 @@ TestTimeModel SmoreModel::materialize_test_time_model(
                                         verdict.is_ood, config_.weight_mode);
   std::vector<const OnlineHDClassifier*> ptrs;
   ptrs.reserve(models_.size());
-  for (const auto& m : models_) ptrs.push_back(&m);
+  for (const auto& m : models_) ptrs.push_back(m.get());
   return TestTimeModel(ptrs, weights);
 }
 

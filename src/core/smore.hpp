@@ -16,10 +16,14 @@
 // HvDatasets, so a dataset is encoded once and shared across folds,
 // algorithms, and ablations.
 //
-// Concurrency: every mutating call (fit, load, clone, absorb_labeled,
-// remove_domains) rebuilds the ensemble evaluator before it returns and
-// const methods only read, so a const SmoreModel can be shared across reader
-// threads as soon as it exists, with no preparation step (DESIGN.md §9).
+// Concurrency: const methods only read, so a const SmoreModel can be shared
+// across reader threads as soon as it exists, with no preparation step
+// (DESIGN.md §9). The domain models and the ensemble evaluator are immutable
+// objects held by shared_ptr<const>: clone() shares them, and a mutating
+// call (absorb_labeled, remove_domains) never writes one in place — it
+// replaces what it touches with a private copy and rebuilds the evaluator
+// before it returns, reusing the Gram entries of untouched models. A clone
+// can therefore be adapted while readers keep reading its parent.
 
 #include <cstddef>
 #include <cstdint>
@@ -64,6 +68,12 @@ class SmoreModel {
  public:
   /// Throws std::invalid_argument when num_classes <= 0 or dim == 0.
   SmoreModel(int num_classes, std::size_t dim, SmoreConfig config = {});
+
+  // Move-only: a copy is made explicitly, with clone().
+  SmoreModel(const SmoreModel&) = delete;
+  SmoreModel& operator=(const SmoreModel&) = delete;
+  SmoreModel(SmoreModel&&) = default;
+  SmoreModel& operator=(SmoreModel&&) = default;
 
   [[nodiscard]] const SmoreConfig& config() const noexcept { return config_; }
   [[nodiscard]] int num_classes() const noexcept { return num_classes_; }
@@ -123,8 +133,10 @@ class SmoreModel {
   }
 
   /// Domain-specific model M_k by position (ascending domain id).
+  /// Untouched domain models are shared with the model this one was cloned
+  /// from: the same object, not an equal copy.
   [[nodiscard]] const OnlineHDClassifier& domain_model(std::size_t k) const {
-    return models_.at(k);
+    return *models_.at(k);
   }
 
   /// The descriptor bank U.
@@ -132,16 +144,21 @@ class SmoreModel {
     return descriptors_;
   }
 
-  /// Writable bank access for the lifecycle layer's metadata (usage credit,
-  /// decay, round clock). Structural changes (absorb/remove) must go through
-  /// absorb_labeled/remove_domains so the per-domain models stay aligned.
-  [[nodiscard]] DomainDescriptorBank& descriptors() noexcept {
-    return descriptors_;
+  /// The lifecycle layer's metadata writes, forwarded to the bank (see
+  /// DomainDescriptorBank). Structural changes go only through
+  /// absorb_labeled/remove_domains, which keep the per-domain models aligned
+  /// with the descriptors.
+  void advance_round() noexcept { descriptors_.advance_round(); }
+  void note_usage(int domain_id, double amount) {
+    descriptors_.note_usage(domain_id, amount);
   }
+  void decay_usage(double factor) { descriptors_.decay_usage(factor); }
+  void note_merge(std::size_t k) { descriptors_.note_merge(k); }
 
   /// Evict the domains at `positions` (in any order): drops each descriptor
   /// AND its class bank together, so positions stay aligned, then rebuilds
-  /// the evaluator once. Survivors are untouched bit-for-bit. Throws before
+  /// the evaluator once from the previous one's Gram entries (no dots).
+  /// Survivors are untouched bit-for-bit. Throws before
   /// changing anything: std::logic_error when untrained or when this would
   /// evict every domain, std::out_of_range on a bad position,
   /// std::invalid_argument on a repeated one.
@@ -171,8 +188,10 @@ class SmoreModel {
   /// and descriptor of its domain id after fit(), creating both when a
   /// domain is new — the streaming complement to batch fit(). Rows are
   /// absorbed in order, each with the adaptive bootstrap rule (C += (1-δ)·H)
-  /// plus one Eq.-2 refinement step; the Gram acceleration structures are
-  /// rebuilt once, after the block. Throws std::logic_error before fit(),
+  /// plus one Eq.-2 refinement step. Only the domain models rows land in are
+  /// copied and written; the Gram acceleration structures are rebuilt once,
+  /// after the block, computing dots only for those models' rows and
+  /// columns. Throws std::logic_error before fit(),
   /// std::invalid_argument on a size, label or dimension mismatch (before
   /// changing anything).
   void absorb_labeled(HvView rows, std::span<const int> labels,
@@ -186,10 +205,13 @@ class SmoreModel {
   void save(std::ostream& out) const;
   static SmoreModel load(std::istream& in);
 
-  /// Deep copy (SmoreModel is move-only; copying is deliberate and
-  /// explicit). The adaptation worker clones the live snapshot, mutates the
-  /// private copy, and publishes it — readers never observe a half-updated
-  /// model. Throws std::logic_error when untrained.
+  /// Copy-on-write copy (SmoreModel is move-only; copying is deliberate and
+  /// explicit): copies the descriptor bank and shares the immutable domain
+  /// models and evaluator, so it costs K pointer copies plus the bank. The
+  /// adaptation worker clones the live snapshot, mutates the clone (which
+  /// copies only the domain models it touches), and publishes it — readers
+  /// never observe a half-updated model. Throws std::logic_error when
+  /// untrained.
   [[nodiscard]] SmoreModel clone() const;
 
  private:
@@ -198,16 +220,24 @@ class SmoreModel {
   [[nodiscard]] std::vector<int> predict_batch_impl(
       HvView queries, std::vector<std::uint8_t>* ood_flags,
       SmoreBatchResult* full) const;
-  void rebuild_evaluator();
+  /// Rebuild the evaluator over models_. `previous` is models_ as the
+  /// current evaluator saw it (empty: build from scratch); a model still
+  /// held there is unchanged, so its Gram entries are reused. Holding the
+  /// previous pointers keeps those objects alive, so the identity test never
+  /// meets a reused address.
+  void rebuild_evaluator(
+      const std::vector<std::shared_ptr<const OnlineHDClassifier>>& previous);
 
   int num_classes_;
   std::size_t dim_;
   SmoreConfig config_;
   OodDetector detector_;
-  std::vector<OnlineHDClassifier> models_;
+  // Immutable once published here: shared between clones, replaced (never
+  // written) by a mutating call.
+  std::vector<std::shared_ptr<const OnlineHDClassifier>> models_;
   DomainDescriptorBank descriptors_;
-  // Rebuilt at the end of every call that changes models_.
-  std::unique_ptr<EnsembleEvaluator> evaluator_;
+  // Rebuilt at the end of every call that changes models_; shared by clones.
+  std::shared_ptr<const EnsembleEvaluator> evaluator_;
 };
 
 }  // namespace smore

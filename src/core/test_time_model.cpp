@@ -136,7 +136,9 @@ int TestTimeModel::predict(std::span<const float> hv) const {
 }
 
 EnsembleEvaluator::EnsembleEvaluator(
-    const std::vector<const OnlineHDClassifier*>& models)
+    const std::vector<const OnlineHDClassifier*>& models,
+    const EnsembleEvaluator* previous,
+    std::span<const std::size_t> previous_position)
     : num_models_(models.size()) {
   if (models.empty()) {
     throw std::invalid_argument("EnsembleEvaluator: no models");
@@ -149,14 +151,34 @@ EnsembleEvaluator::EnsembleEvaluator(
     }
   }
   const std::size_t k = num_models_;
+  if (previous != nullptr) {
+    if (previous_position.size() != k ||
+        previous->num_classes_ != num_classes_ || previous->dim_ != dim_) {
+      throw std::invalid_argument("EnsembleEvaluator: previous arity mismatch");
+    }
+    for (const std::size_t p : previous_position) {
+      if (p != kChanged && p >= previous->num_models_) {
+        throw std::invalid_argument(
+            "EnsembleEvaluator: previous position out of range");
+      }
+    }
+  }
+  const auto reused = [&](std::size_t i) {
+    return previous != nullptr && previous_position[i] != kChanged;
+  };
   gram_.assign(static_cast<std::size_t>(num_classes_),
                std::vector<double>(k * k, 0.0));
   for (int c = 0; c < num_classes_; ++c) {
     auto& g = gram_[static_cast<std::size_t>(c)];
     for (std::size_t i = 0; i < k; ++i) {
       for (std::size_t j = i; j < k; ++j) {
-        const double v = ops::dot(models[i]->class_vector(c).data(),
-                                  models[j]->class_vector(c).data(), dim_);
+        const double v =
+            reused(i) && reused(j)
+                ? previous->gram_[static_cast<std::size_t>(c)]
+                                 [previous_position[i] * previous->num_models_ +
+                                  previous_position[j]]
+                : ops::dot(models[i]->class_vector(c).data(),
+                           models[j]->class_vector(c).data(), dim_);
         g[i * k + j] = v;
         g[j * k + i] = v;
       }

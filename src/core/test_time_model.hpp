@@ -87,11 +87,27 @@ class TestTimeModel {
 /// Materialization-free evaluator over a fixed set of domain models.
 class EnsembleEvaluator {
  public:
+  /// Marks a model in `previous_position` that `previous` did not see as it
+  /// is now (touched since, or new).
+  static constexpr std::size_t kChanged = static_cast<std::size_t>(-1);
+
   /// Precomputes the per-class Gram matrices and copies the class vectors
   /// it reads, keeping no reference to `models`: a copy of the evaluator
   /// serves any deep copy of them.
+  ///
+  /// Incremental rebuild: when `models` is a successor of the set
+  /// `previous` was built over, `previous_position[i]` is model i's position
+  /// there if it is unchanged since, else kChanged. The Gram entry of every
+  /// pair of unchanged models is then copied from `previous`; dots are
+  /// computed only for the rows and columns of changed ones, so an eviction
+  /// computes none. Each entry is the same independent dot a full rebuild
+  /// computes, so the result is bit-identical to one. Throws
+  /// std::invalid_argument on empty or heterogeneous models, and on a
+  /// `previous_position` that does not fit `models` and `previous`.
   explicit EnsembleEvaluator(
-      const std::vector<const OnlineHDClassifier*>& models);
+      const std::vector<const OnlineHDClassifier*>& models,
+      const EnsembleEvaluator* previous = nullptr,
+      std::span<const std::size_t> previous_position = {});
 
   [[nodiscard]] std::size_t num_models() const noexcept { return num_models_; }
   [[nodiscard]] int num_classes() const noexcept { return num_classes_; }

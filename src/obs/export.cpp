@@ -17,7 +17,7 @@ std::string sanitize_metric_name(std::string_view name) {
     if (i == 0 && digit) out += '_';  // leading digit gets a '_' prefix
     out += (alpha || digit) ? c : '_';
   }
-  if (out.empty()) out = "_";
+  if (out.empty()) out.push_back('_');
   return out;
 }
 

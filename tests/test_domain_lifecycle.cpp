@@ -347,6 +347,100 @@ TEST(DomainLifecycle, EnrollEveryRoundConfigMatchesTheLegacyLoop) {
   EXPECT_EQ(bounded.num_domains(), 3u + 6u);
 }
 
+TEST(DomainLifecycle, IncrementalRoundsEqualAFreshRebuildAndShareUntouched) {
+  // A stream of rounds at a small cap: one recurring drift (merges after
+  // its first round) plus 1-3 novel ones per round (enrolls, and evictions
+  // of up to three victims). Each round runs on a clone of the previous
+  // generation, the way the serving worker runs it. After every round the
+  // incrementally maintained model must serve exactly what a model rebuilt
+  // from its own bytes serves (load builds the evaluator from scratch), and
+  // the round must have copied only the domain models it wrote to.
+  SmoreModel parent = lifecycle_fixture_model(128);
+  LifecycleConfig cfg;
+  cfg.max_domains = 5;
+  cfg.merge_threshold = 0.80;
+  cfg.protected_domains = 2;
+  DomainLifecycle engine(cfg);
+  const HvDataset sources = separable_hv_dataset(3, 3, 4, parent.dim(), 0.3,
+                                                 0.8);
+  const auto expect_same = [](const SmoreBatchResult& a,
+                              const SmoreBatchResult& b) {
+    EXPECT_EQ(a.num_domains, b.num_domains);
+    EXPECT_EQ(a.labels, b.labels);
+    EXPECT_EQ(a.ood, b.ood);
+    EXPECT_EQ(a.max_similarity, b.max_similarity);
+    EXPECT_EQ(a.weights, b.weights);
+  };
+
+  constexpr std::size_t kPerCluster = 12;
+  std::size_t merges = 0;
+  std::size_t enrolls = 0;
+  std::size_t max_victims = 0;
+  for (std::uint64_t round = 0; round < 12; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    const std::size_t novel = 1 + round % 3;
+    HvMatrix rows((novel + 1) * kPerCluster, parent.dim());
+    std::vector<int> labels(rows.rows());
+    const HvMatrix recurring =
+        drift_cluster(kPerCluster, parent.dim(), 0x5eed, 0.2);
+    for (std::size_t c = 0; c <= novel; ++c) {
+      const HvMatrix fresh =
+          drift_cluster(kPerCluster, parent.dim(), 0x9000 + 8 * round + c, 0.2);
+      const HvMatrix& src = c == 0 ? recurring : fresh;
+      for (std::size_t i = 0; i < kPerCluster; ++i) {
+        rows.set_row(c * kPerCluster + i, src.row(i));
+        labels[c * kPerCluster + i] = static_cast<int>((i + c) % 3);
+      }
+    }
+
+    SmoreModel child = parent.clone();
+    const LifecycleRoundStats stats =
+        engine.run_round(child, rows.view(), labels);
+    merges += stats.merged;
+    enrolls += stats.enrolled_new;
+    max_victims = std::max(max_victims, stats.evicted);
+    ASSERT_LE(child.num_domains(), cfg.max_domains);
+
+    // Sharing: a surviving domain no row landed in is the parent's object;
+    // a merged-into or enrolled domain is a new one.
+    std::vector<int> touched = stats.merged_ids;
+    touched.insert(touched.end(), stats.enrolled_ids.begin(),
+                   stats.enrolled_ids.end());
+    const std::vector<int>& parent_ids = parent.descriptors().domain_ids();
+    for (std::size_t k = 0; k < child.num_domains(); ++k) {
+      const int id = child.descriptors().domain_id(k);
+      const auto it = std::find(parent_ids.begin(), parent_ids.end(), id);
+      const bool was_touched =
+          std::find(touched.begin(), touched.end(), id) != touched.end();
+      if (it == parent_ids.end()) {
+        EXPECT_TRUE(was_touched) << "domain " << id;
+        continue;
+      }
+      const OnlineHDClassifier& before = parent.domain_model(
+          static_cast<std::size_t>(it - parent_ids.begin()));
+      if (was_touched) {
+        EXPECT_NE(&child.domain_model(k), &before) << "domain " << id;
+      } else {
+        EXPECT_EQ(&child.domain_model(k), &before) << "domain " << id;
+      }
+    }
+
+    std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
+    child.save(buffer);
+    const SmoreModel rebuilt = SmoreModel::load(buffer);
+    expect_same(child.predict_batch_full(rows.view()),
+                rebuilt.predict_batch_full(rows.view()));
+    expect_same(child.predict_batch_full(sources.view()),
+                rebuilt.predict_batch_full(sources.view()));
+    parent = std::move(child);
+  }
+  // The stream exercised every structural edit the incremental path reuses
+  // Gram entries across.
+  EXPECT_GE(merges, 1u);
+  EXPECT_GE(enrolls, 1u);
+  EXPECT_GE(max_victims, 2u);
+}
+
 // ---------------------------------------------------------------------------
 // Persistence: lifecycle state survives save/load exactly
 // ---------------------------------------------------------------------------
@@ -383,13 +477,15 @@ TEST(DomainLifecycle, LifecycleStateRoundTripsThroughSerialization) {
   }
 
   // The DOUBLE masters survived, not just the mirrors: absorbing the same
-  // row into both banks must keep them bitwise identical.
+  // row into copies of both banks must keep them bitwise identical.
   const HvMatrix extra = bipolar_rows(1, model.dim(), 0x900d);
   const int id = a.domain_id(0);
-  model.descriptors().absorb(extra.row(0), id);
-  loaded.descriptors().absorb(extra.row(0), id);
-  EXPECT_EQ(Hypervector(model.descriptors().descriptor(0)),
-            Hypervector(loaded.descriptors().descriptor(0)));
+  DomainDescriptorBank grown_a = a;
+  DomainDescriptorBank grown_b = b;
+  grown_a.absorb(extra.row(0), id);
+  grown_b.absorb(extra.row(0), id);
+  EXPECT_EQ(Hypervector(grown_a.descriptor(0)),
+            Hypervector(grown_b.descriptor(0)));
 }
 
 // ---------------------------------------------------------------------------

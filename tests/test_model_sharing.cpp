@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -89,6 +91,83 @@ TEST_F(ModelSharingTest, LoadedAndClonedModelsReadFromFourThreads) {
     for (const SmoreBatchResult& r : results) expect_same(r, serial);
     expect_same(serial, trained.predict_batch_full(queries_.view()));
   }
+}
+
+/// Grow an existing domain and enroll a new one in one block, then evict
+/// the first domain: the two structural edits of a lifecycle round.
+void absorb_and_evict(SmoreModel& model, const HvDataset& block, int new_id) {
+  std::vector<int> ids(block.size(), new_id);
+  for (std::size_t i = 0; i < ids.size(); i += 3) {
+    ids[i] = model.descriptors().domain_id(model.num_domains() - 1);
+  }
+  model.absorb_labeled(block.view(), block.labels(), ids);
+  model.remove_domains(std::vector<std::size_t>{0});
+}
+
+std::string bytes_of(const SmoreModel& model) {
+  std::ostringstream out;
+  model.save(out);
+  return out.str();
+}
+
+TEST_F(ModelSharingTest, AdaptingACloneLeavesItsParentUnchanged) {
+  // Clones share the parent's domain models and evaluator: absorb and evict
+  // on the clone must copy what they write, never write through.
+  SmoreModel parent(kClasses, kDim);
+  parent.fit(data_.select(data_.indices_excluding_domain(3)));
+  const std::string saved = bytes_of(parent);
+  const SmoreBatchResult served = parent.predict_batch_full(queries_.view());
+
+  SmoreModel child = parent.clone();
+  absorb_and_evict(child, data_.select(data_.indices_of_domain(3)), 7);
+  ASSERT_EQ(child.num_domains(), parent.num_domains());
+  EXPECT_NE(bytes_of(child), saved);
+
+  EXPECT_EQ(bytes_of(parent), saved);
+  expect_same(parent.predict_batch_full(queries_.view()), served);
+}
+
+TEST_F(ModelSharingTest, ReadersOfAGenerationRaceAWriterAdaptingItsClones) {
+  // The serving shape: readers predict on generation N while a writer runs
+  // rounds on a chain of clones of it, dropping each older clone — so the
+  // models N shares are copied from and released concurrently with reads.
+  // Readers also serialize N, which reads every domain model it shares.
+  SmoreModel trained(kClasses, kDim);
+  trained.fit(data_.select(data_.indices_excluding_domain(3)));
+  const SmoreModel& generation = trained;
+  const SmoreBatchResult served = generation.predict_batch_full(queries_.view());
+  const std::string saved = bytes_of(generation);
+  const HvDataset block = data_.select(data_.indices_of_domain(3));
+
+  std::atomic<bool> writing{true};
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> readers;
+  for (std::size_t t = 0; t < kReaders - 1; ++t) {
+    readers.emplace_back([&] {
+      std::size_t reads = 0;
+      while (writing.load() || reads < 4) {
+        const SmoreBatchResult r = generation.predict_batch_full(queries_.view());
+        if (r.labels != served.labels || r.ood != served.ood ||
+            r.max_similarity != served.max_similarity ||
+            r.weights != served.weights || bytes_of(generation) != saved) {
+          mismatches.fetch_add(1);
+        }
+        ++reads;
+      }
+    });
+  }
+  SmoreModel next = generation.clone();
+  for (int round = 0; round < 8; ++round) {
+    SmoreModel child = next.clone();
+    absorb_and_evict(child, block, 10 + round);
+    next = std::move(child);
+  }
+  writing.store(false);
+  for (std::thread& th : readers) th.join();
+
+  EXPECT_EQ(mismatches.load(), 0u);
+  expect_same(generation.predict_batch_full(queries_.view()), served);
+  EXPECT_EQ(bytes_of(generation), saved);
 }
 
 TEST_F(ModelSharingTest, BanksReadFromFourThreadsRightAfterAnUpdate) {

@@ -188,6 +188,53 @@ TEST_F(TtmTest, EvaluatorValidatesInputs) {
   EXPECT_THROW((void)eval.predict(data_.row(0), bad_w), std::invalid_argument);
 }
 
+TEST(EnsembleEvaluatorStandalone, IncrementalRebuildEqualsAFullRebuild) {
+  // Four trained models, then two successors of that set: one touches a
+  // model (a copy with one more update) and adds a new one, one only drops
+  // models. Reusing the previous Gram entries must give, bit for bit, what
+  // a rebuild from scratch gives.
+  const HvDataset data = separable_hv_dataset(3, 5, 10, 256, 0.4, 0.6);
+  std::vector<OnlineHDClassifier> models;
+  for (int d = 0; d < 5; ++d) {
+    OnlineHDClassifier m(3, 256);
+    OnlineHDConfig cfg;
+    cfg.epochs = 3;
+    m.fit(data.select(data.indices_of_domain(d)), cfg);
+    models.push_back(std::move(m));
+  }
+  const EnsembleEvaluator first(
+      {&models[0], &models[1], &models[2], &models[3]});
+  OnlineHDClassifier touched = models[2];
+  touched.bootstrap(data.row(0), data.label(0));
+  constexpr std::size_t kChanged = EnsembleEvaluator::kChanged;
+  const auto expect_same = [&](const std::vector<const OnlineHDClassifier*>& set,
+                               const std::vector<std::size_t>& positions) {
+    const EnsembleEvaluator incremental(set, &first, positions);
+    const EnsembleEvaluator full(set);
+    ASSERT_EQ(incremental.num_models(), set.size());
+    std::vector<double> w(set.size());
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      for (std::size_t k = 0; k < w.size(); ++k) {
+        w[k] = (i + k) % 3 == 0 ? 0.0 : 0.25 * static_cast<double>(k + 1);
+      }
+      EXPECT_EQ(incremental.class_similarities(data.row(i), w),
+                full.class_similarities(data.row(i), w))
+          << "sample " << i;
+    }
+  };
+  expect_same({&models[0], &touched, &models[3], &models[4]},
+              {0, kChanged, 3, kChanged});
+  expect_same({&models[1], &models[3]}, {1, 3});
+
+  // A mapping that does not fit the previous set is rejected.
+  EXPECT_THROW(EnsembleEvaluator({&models[0]}, &first,
+                                 std::vector<std::size_t>{0, 1}),
+               std::invalid_argument);
+  EXPECT_THROW(EnsembleEvaluator({&models[0]}, &first,
+                                 std::vector<std::size_t>{4}),
+               std::invalid_argument);
+}
+
 TEST(EnsembleEvaluatorStandalone, RejectsEmptyAndHeterogeneous) {
   EXPECT_THROW(EnsembleEvaluator({}), std::invalid_argument);
   OnlineHDClassifier a(2, 16);
